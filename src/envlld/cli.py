@@ -3,7 +3,8 @@
 Subcommands take expressions in the surface grammar and print either plain
 text or a single structured JSON document.  Exit codes: 0 for success or a
 positive verdict, 1 when a dependence or membership query comes back
-negative, 2 for usage errors, 3 when an internal invariant breaks.
+negative, 2 for usage errors, 3 when an internal invariant breaks or a
+certificate fails its check.
 
 Expressions starting with a minus sign look like flags to the option
 parser; put them after a bare -- separator.
@@ -20,10 +21,11 @@ from fractions import Fraction
 from .algebra import get_algebra, pbw_normal_form
 from .center import RewritingBudgetError, decompose
 from .centerpoly import grlex_key
-from .dependence import (WitnessScanExceeded, condition1_check,
-                         decide_c_dependence, decide_center_dependence,
-                         empirical_lld, empirical_ref, loc_span_solve,
-                         sl3_weight_scan, witness_independence)
+from .dependence import (CertificateError, WitnessScanExceeded,
+                         condition1_check, decide_c_dependence,
+                         decide_center_dependence, empirical_lld,
+                         empirical_ref, loc_span_solve, sl3_weight_scan,
+                         witness_independence)
 from .parser import ParseError, _mono_str, format_expr, format_poly, parse_expr
 from .reps import sl2_irrep
 from .sl3reps import sl3_irrep
@@ -345,7 +347,8 @@ def main(argv=None):
     except (ParseError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except (AssertionError, RewritingBudgetError, WitnessScanExceeded) as ex:
+    except (AssertionError, CertificateError, RewritingBudgetError,
+            WitnessScanExceeded) as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         return 3
     doc = {"command": args.command,

@@ -28,8 +28,9 @@ from .algebra import PBWElement, get_algebra, sl2, sl3
 from .center import decompose, verify_identity
 from .centerpoly import CenterPoly, grlex_key, poly_eval
 from .linalg import PolyMatrix, RatEchelon, ff_rank_kernel, solve_fraction_field
-from .reps import (RepMatrices, apply_to_vector, c_scalar, casimir_scalars,
-                   d2_scalar, d3_scalar, eval_element, prop32_vector, sl2_irrep)
+from .reps import (RepMatrices, acts_as_zero, apply_to_vector, c_scalar,
+                   casimir_scalars, d2_scalar, d3_scalar, eval_element,
+                   prop32_vector, sl2_irrep)
 from .sl3reps import sl3_irrep
 
 
@@ -39,6 +40,11 @@ class Certificate:
     membership; z0 is the localizing denominator when one is involved."""
     z: tuple
     z0: object = None
+
+
+class CertificateError(RuntimeError):
+    """Raised when a certificate fails the check that must pass before it
+    is reported; an explicit raise, so the check also runs under -O."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,8 @@ def decide_center_dependence(ps):
     ev = {"rank": res.rank, "count": len(ps), "monomials": len(monos)}
     if res.kernel_basis:
         z = res.kernel_basis[0]
-        assert verify_identity(list(z), ps), "certificate failed recomposition"
+        if not verify_identity(list(z), ps):
+            raise CertificateError("certificate failed recomposition")
         return Verdict("dependent", Certificate(z), ev)
     return Verdict("independent", None, ev)
 
@@ -131,8 +138,8 @@ def loc_span_solve(q, ps):
     if sol is None:
         return None
     z0, z = sol
-    assert verify_identity([z0, *(-zi for zi in z)], [q, *ps]), \
-        "localization certificate failed recomposition"
+    if not verify_identity([z0, *(-zi for zi in z)], [q, *ps]):
+        raise CertificateError("localization certificate failed recomposition")
     return Certificate(z, z0)
 
 
@@ -158,11 +165,8 @@ def condition1_check(cert, q):
     assert q.algebra.name == "sl2", "the denominator check is an sl2 notion"
     z0 = cert.z0
     assert z0 is not None and not z0.is_zero()
-    for n in sl2_denominator_roots(z0):
-        M = eval_element(q, sl2_irrep(n))
-        if any(x for row in M for x in row):
-            return False
-    return True
+    return all(acts_as_zero(q, sl2_irrep(n))
+               for n in sl2_denominator_roots(z0))
 
 
 def resolve_rep(item, A=None, max_entries=20000):
@@ -319,7 +323,8 @@ def witness_independence(ps, max_shift=50):
         final = RatEchelon(n)
         for p in ps:
             final.add(apply_to_vector(p, R, vec))
-        assert final.rank == k, "witness images lost rank unexpectedly"
+        if final.rank != k:
+            raise CertificateError("witness images lost rank unexpectedly")
         ev = {"n": n, "t": t, "degree": d, "rank": final.rank, "count": k}
         return WitnessResult(n, tuple(vec), ev)
     raise WitnessScanExceeded(

@@ -3,7 +3,15 @@
 Covers the sl2 irreducibles rho_k, symmetric powers of block sums of the
 defining representation, the graded witness pair used for independence
 certificates, and the distinguished 0/1 vector whose monomial images realize
-full rank.  All matrices are dense tuples of Fractions.
+full rank.
+
+Every module stores one sparse action per generator: for each source basis
+vector, the (destination, coefficient) pairs of its image, with coefficients
+kept as ints when they are integral.  Elements are evaluated through these
+actions alone.  The image of an ordered monomial is its first generator
+applied to the image of the rest, so monomials share their prefixes; each
+module caches its monomial images.  Dense tuples of Fractions appear only at
+the boundary (matrix, mono_matrix, eval_element).
 
 Center coefficients of a PBW element are evaluated at the representation's
 center point (its Casimir scalars) unless an explicit point is passed; asking
@@ -17,8 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import FreeElement, PBWElement, sl2, sl3
+from .algebra import PBWElement, sl2, sl3
 from .centerpoly import as_rat, poly_eval
+
+_ZERO = Fraction(0)
 
 
 def c_scalar(k):
@@ -78,87 +88,102 @@ def mat_scale(a, c):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+# -- sparse actions ---------------------------------------------------------
+
+def _num(c):
+    """An exact scalar as an int when it is integral, else a Fraction."""
+    if isinstance(c, int):
+        return c
+    c = as_rat(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def blockdiag(blocks):
-    dims = [len(b) for b in blocks]
-    total = sum(dims)
-    out = [[Fraction(0)] * total for _ in range(total)]
-    at = 0
-    for b, d in zip(blocks, dims):
-        for i in range(d):
-            for j in range(d):
-                if b[i][j]:
-                    out[at + i][at + j] = as_rat(b[i][j])
-        at += d
-    return tuple(tuple(r) for r in out)
+def _apply(pairs_of, vec):
+    """Image {dst: coeff} of a sparse vector {src: coeff} under one action."""
+    out = {}
+    for src, x in vec.items():
+        for dst, c in pairs_of[src]:
+            out[dst] = out.get(dst, 0) + c * x
+    return {d: v for d, v in out.items() if v}
+
+
+def _image(memo, exps, step):
+    """memo[exps], filling in the prefix chain: the image of exps is
+    step(gi, image of exps with one generator gi removed), where gi is the
+    first generator of the ordered monomial."""
+    chain = []
+    while exps not in memo:
+        gi = next(i for i, e in enumerate(exps) if e)
+        chain.append((exps, gi))
+        exps = exps[:gi] + (exps[gi] - 1,) + exps[gi + 1:]
+    img = memo[exps]
+    for e, gi in reversed(chain):
+        img = memo[e] = step(gi, img)
+    return img
+
+
+def _dense(n, columns):
+    out = [[_ZERO] * n for _ in range(n)]
+    for src, col in enumerate(columns):
+        for dst, c in col:
+            out[dst][src] = as_rat(c)
+    return tuple(map(tuple, out))
 
 
 class RepMatrices:
-    """One exact matrix per generator, plus evaluation caches.
+    """One sparse exact action per generator, plus a monomial image cache.
 
-    center_point carries the Casimir scalars when the representation is
+    action[g][src] holds the (dst, coeff) pairs of g applied to basis vector
+    src.  center_point carries the Casimir scalars when the representation is
     irreducible; basis_meta records construction data (the admitted index
     triples for sl3 irreducibles).
     """
 
-    __slots__ = ("algebra", "dim", "mats", "label", "center_point",
-                 "basis_meta", "_mono_mats", "_gen_pows", "_fast_eval",
-                 "_model")
+    __slots__ = ("algebra", "dim", "action", "label", "center_point",
+                 "basis_meta", "_images", "_model")
 
-    def __init__(self, algebra, dim, mats, label, center_point=None,
+    def __init__(self, algebra, dim, action, label, center_point=None,
                  basis_meta=None):
-        assert set(mats) == set(algebra.gens)
+        assert set(action) == set(algebra.gens)
         fixed = {}
-        for g, m in mats.items():
-            m = tuple(tuple(as_rat(x) for x in row) for row in m)
-            assert len(m) == dim and all(len(row) == dim for row in m)
-            fixed[g] = m
+        for g, cols in action.items():
+            cols = tuple(tuple((d, _num(c)) for d, c in col if c)
+                         for col in cols)
+            assert len(cols) == dim
+            assert all(0 <= d < dim for col in cols for d, _ in col)
+            fixed[g] = cols
         self.algebra = algebra
         self.dim = dim
-        self.mats = fixed
+        self.action = fixed
         self.label = label
         self.center_point = None if center_point is None else tuple(
             as_rat(x) for x in center_point)
         self.basis_meta = basis_meta
-        self._mono_mats = {}
-        self._gen_pows = {}
-        self._fast_eval = None
+        self._images = {(0,) * algebra.ngens: tuple({s: 1} for s in range(dim))}
         self._model = None
 
     def matrix(self, name):
-        return self.mats[name]
+        return _dense(self.dim, self.action[name])
 
-    def gen_power(self, name, e):
-        if e == 0:
-            return mat_identity(self.dim)
-        hit = self._gen_pows.get((name, e))
-        if hit is None:
-            hit = mat_mul(self.gen_power(name, e - 1), self.mats[name])
-            self._gen_pows[(name, e)] = hit
-        return hit
+    def mono_image(self, exps):
+        """Sparse columns {dst: coeff} of one ordered monomial, cached."""
+        gens = self.algebra.gens
+        return _image(self._images, exps, lambda gi, cols: tuple(
+            _apply(self.action[gens[gi]], col) for col in cols))
 
     def mono_matrix(self, exps):
-        hit = self._mono_mats.get(exps)
-        if hit is None:
-            hit = mat_identity(self.dim)
-            for g, e in zip(self.algebra.gens, exps):
-                if e:
-                    hit = mat_mul(hit, self.gen_power(g, e))
-            self._mono_mats[exps] = hit
-        return hit
+        """Dense view of one ordered monomial; the dense form is not cached."""
+        return _dense(self.dim, (c.items() for c in self.mono_image(exps)))
 
     def bracket_defect(self, a, b):
         """pi[a]pi[b] - pi[b]pi[a] minus the bracket expansion; zero matrix
         exactly when the defining relations hold in this representation."""
         A = self.algebra
         ia, ib = A.index[a], A.index[b]
-        comm = mat_add(mat_mul(self.mats[a], self.mats[b]),
-                       mat_scale(mat_mul(self.mats[b], self.mats[a]), -1))
+        ma, mb = self.matrix(a), self.matrix(b)
+        comm = mat_add(mat_mul(ma, mb), mat_scale(mat_mul(mb, ma), -1))
         for k, c in A.bracket_table.get((ia, ib), ()):
-            comm = mat_add(comm, mat_scale(self.mats[A.gens[k]], -c))
+            comm = mat_add(comm, mat_scale(self.matrix(A.gens[k]), -c))
         return comm
 
     def __repr__(self):
@@ -175,58 +200,49 @@ def _coeff_value(p, R, center_point):
     return poly_eval(p, point)
 
 
-def _center_values(R, center_point):
-    point = center_point if center_point is not None else R.center_point
-    if point is None:
-        raise ValueError(
-            f"{R.label} has no center point; cannot evaluate center symbols")
-    return point
-
-
-def eval_element(elem, R, center_point=None):
-    """Exact matrix of a PBW or free element under R."""
-    if isinstance(elem, FreeElement):
-        assert elem.algebra is R.algebra
-        A = R.algebra
-        out = mat_zero(R.dim)
-        for word, coeff in elem.terms.items():
-            scalar = coeff
-            m = mat_identity(R.dim)
-            for letter in word:
-                if letter < A.ngens:
-                    m = mat_mul(m, R.mats[A.gens[letter]])
-                else:
-                    scalar *= _center_values(R, center_point)[letter - A.ngens]
-            if scalar:
-                out = mat_add(out, mat_scale(m, scalar))
-        return out
+def _nonzero_terms(elem, R, center_point):
     assert isinstance(elem, PBWElement) and elem.algebra is R.algebra
-    if R._fast_eval is not None:
-        return R._fast_eval(elem, center_point)
-    out = mat_zero(R.dim)
     for exps, p in elem.terms.items():
         c = _coeff_value(p, R, center_point)
         if c:
-            out = mat_add(out, mat_scale(R.mono_matrix(exps), c))
-    return out
+            yield c, exps
+
+
+def _columns(elem, R, center_point):
+    """R(elem) one source column {dst: coeff} at a time, from the sparse
+    monomial images."""
+    terms = [(c, R.mono_image(exps))
+             for c, exps in _nonzero_terms(elem, R, center_point)]
+    for src in range(R.dim):
+        col = {}
+        for c, img in terms:
+            for dst, x in img[src].items():
+                col[dst] = col.get(dst, 0) + c * x
+        yield col.items()
+
+
+def eval_element(elem, R, center_point=None):
+    """Exact matrix of a PBW element under R, as a tuple of Fraction rows."""
+    return _dense(R.dim, _columns(elem, R, center_point))
+
+
+def acts_as_zero(elem, R, center_point=None):
+    """True when R(elem) is the zero operator, decided column by column with
+    no dense matrix."""
+    return not any(x for col in _columns(elem, R, center_point) for _, x in col)
 
 
 def apply_to_vector(elem, R, vec, center_point=None):
-    """R(elem) applied to a vector, without forming monomial matrices."""
-    assert isinstance(elem, PBWElement) and elem.algebra is R.algebra
-    A = R.algebra
-    out = [Fraction(0)] * R.dim
-    for exps, p in elem.terms.items():
-        c = _coeff_value(p, R, center_point)
-        if not c:
-            continue
-        w = [as_rat(x) for x in vec]
-        for gi in range(A.ngens - 1, -1, -1):
-            for _ in range(exps[gi]):
-                w = mat_vec(R.mats[A.gens[gi]], w)
-        for i in range(R.dim):
-            if w[i]:
-                out[i] += c * w[i]
+    """R(elem) applied to a vector, as a list of Fractions; the monomials of
+    elem share their prefixes within the call."""
+    assert len(vec) == R.dim
+    gens = R.algebra.gens
+    memo = {(0,) * len(gens): {i: _num(x) for i, x in enumerate(vec) if x}}
+    out = [_ZERO] * R.dim
+    for c, exps in _nonzero_terms(elem, R, center_point):
+        w = _image(memo, exps, lambda gi, v: _apply(R.action[gens[gi]], v))
+        for i, x in w.items():
+            out[i] += c * x
     return out
 
 
@@ -234,14 +250,9 @@ def apply_to_vector(elem, R, vec, center_point=None):
 def sl2_irrep(k):
     """The k-dimensional irreducible of sl2 in its standard weight basis."""
     assert k >= 1
-    X = [[Fraction(0)] * k for _ in range(k)]
-    Y = [[Fraction(0)] * k for _ in range(k)]
-    H = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k - 1):
-        X[i][i + 1] = Fraction(k - 1 - i)
-        Y[i + 1][i] = Fraction(i + 1)
-    for i in range(k):
-        H[i][i] = Fraction(k - 1 - 2 * i)
+    X = [((s - 1, k - s),) if s else () for s in range(k)]
+    Y = [((s + 1, s + 1),) if s < k - 1 else () for s in range(k)]
+    H = [((s, k - 1 - 2 * s),) for s in range(k)]
     return RepMatrices(sl2(), k, {"X": X, "Y": Y, "H": H}, f"rho_{k}",
                        center_point=(c_scalar(k),))
 
@@ -257,7 +268,7 @@ def mono_exps(nvars, deg):
     return out
 
 
-def derivation_matrices(base, nvars, deg):
+def derivation_action(base, nvars, deg):
     """Action on degree-deg monomials induced by matrices on the variables.
 
     The variable span carries the representation x_j -> sum_i M_ij x_i; the
@@ -265,11 +276,11 @@ def derivation_matrices(base, nvars, deg):
     """
     monos = mono_exps(nvars, deg)
     index = {m: i for i, m in enumerate(monos)}
-    dim = len(monos)
     out = {}
     for g, M in base.items():
-        D = [[Fraction(0)] * dim for _ in range(dim)]
-        for s, alpha in enumerate(monos):
+        cols = []
+        for alpha in monos:
+            col = {}
             for j in range(nvars):
                 if not alpha[j]:
                     continue
@@ -279,8 +290,10 @@ def derivation_matrices(base, nvars, deg):
                     beta = list(alpha)
                     beta[j] -= 1
                     beta[i] += 1
-                    D[index[tuple(beta)]][s] += alpha[j] * as_rat(M[i][j])
-        out[g] = D
+                    d = index[tuple(beta)]
+                    col[d] = col.get(d, 0) + alpha[j] * M[i][j]
+            cols.append(col.items())
+        out[g] = cols
     return out, monos
 
 
@@ -288,9 +301,12 @@ def sym_power_rep(n, k):
     """k-th symmetric power of n block copies of the defining representation."""
     assert n in (2, 3) and k >= 1
     A = sl2() if n == 2 else sl3()
-    base = {g: blockdiag([A.mats[g]] * n) for g in A.gens}
-    mats, monos = derivation_matrices(base, n * n, k)
-    return RepMatrices(A, len(monos), mats, f"sym{k}_pi{n}")
+    # n block copies of the defining matrix on the n * n variables
+    base = {g: [[A.mats[g][i % n][j % n] if i // n == j // n else 0
+                 for j in range(n * n)] for i in range(n * n)]
+            for g in A.gens}
+    action, monos = derivation_action(base, n * n, k)
+    return RepMatrices(A, len(monos), action, f"sym{k}_pi{n}")
 
 
 def theorem1_witness(n, d):
@@ -304,8 +320,12 @@ def theorem1_witness(n, d):
     assert d >= 1
     blocks = [sym_power_rep(n, k) for k in range(1, d + 1)]
     A = blocks[0].algebra
-    mats = {g: blockdiag([B.mats[g] for B in blocks]) for g in A.gens}
-    dim = sum(B.dim for B in blocks)
+    action = {g: [] for g in A.gens}
+    at = 0
+    for B in blocks:
+        for g, cols in B.action.items():
+            action[g].extend(tuple((at + t, c) for t, c in col) for col in cols)
+        at += B.dim
     diag = {i * n + i for i in range(n)}
     vec = []
     for k in range(1, d + 1):
@@ -317,8 +337,8 @@ def theorem1_witness(n, d):
                 vec.append(Fraction(m))
             else:
                 vec.append(Fraction(0))
-    assert len(vec) == dim
-    return RepMatrices(A, dim, mats, f"symblock_{n}_{d}"), vec
+    assert len(vec) == at
+    return RepMatrices(A, at, action, f"symblock_{n}_{d}"), vec
 
 
 def prop32_vector(d, t=0):

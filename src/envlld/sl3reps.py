@@ -7,8 +7,12 @@ act by integer derivation operators.  Starting from x1^m1 (x) u1^m2, the
 lowering monomials Y1^i Y2^j Y3^k are applied in lexicographic (i+j+k, i, j)
 order and a vector is admitted exactly when it enlarges the span.  Every
 generated vector is weight homogeneous, so admission and coordinate solves
-run blockwise per weight.  Generator matrices in the admitted basis come from
-exact solves verified against the model action entry by entry.
+run blockwise per weight.  The sparse action of each generator on the
+admitted basis comes from exact solves verified against the model action
+entry by entry, so an sl3 irreducible is an ordinary RepMatrices and is
+evaluated through the same sparse monomial images as every other module.
+The model keeps its own monomial images (mono_columns, eval_columns) as an
+independent cross-check in model space.
 
 The closed-form single-generator action on the lowering basis (valid while
 m1 and m2 exceed the total lowering degree) is available separately as
@@ -290,32 +294,6 @@ class Sl3Model:
                         tgt[t] += c * row[t]
         return out
 
-    def to_matrix(self, rowmat):
-        """Admitted-basis coordinates of model-space columns, blockwise."""
-        D = len(self.admitted)
-        out = [[Fraction(0)] * D for _ in range(D)]
-        for wt, (cols, prows, inv) in self._solvers.items():
-            t = len(cols)
-            rhs = [rowmat[r] for r in prows]
-            for ti in range(t):
-                acc = [Fraction(0)] * D
-                for tj in range(t):
-                    c = inv[ti][tj]
-                    if c:
-                        row = rhs[tj]
-                        for d in range(D):
-                            if row[d]:
-                                acc[d] += c * row[d]
-                out[cols[ti]] = acc
-        # residual check: rows outside every block solver must vanish
-        covered = set()
-        for wt, (cols, prows, inv) in self._solvers.items():
-            covered.update(self.weight_rows[wt])
-        for r in range(self.N):
-            if r not in covered:
-                assert not any(rowmat[r]), "image escaped the generated module"
-        return tuple(tuple(row) for row in out)
-
 
 _IRREP_CACHE = {}
 
@@ -340,23 +318,15 @@ def sl3_irrep(w, max_entries=20000):
     D = model.close()
     model.build_solvers()
     A = sl3()
-    mats = {g: [[Fraction(0)] * D for _ in range(D)] for g in A.gens}
+    action = {g: [] for g in A.gens}
     for d in range(D):
         for g in A.gens:
             u = model.apply_vec(g, model.basis[d])
-            for t, c in enumerate(model.coords_of(u, verify=True)):
-                if c:
-                    mats[g][t][d] = c
-    R = RepMatrices(A, D, mats, f"pi_{m1}_{m2}",
+            action[g].append(enumerate(model.coords_of(u, verify=True)))
+    R = RepMatrices(A, D, action, f"pi_{m1}_{m2}",
                     center_point=(d2_scalar(m1, m2), d3_scalar(m1, m2)),
                     basis_meta=model.admitted)
     R._model = model
-
-    def fast_eval(elem, center_point, _model=model, _R=R):
-        point = center_point if center_point is not None else _R.center_point
-        return _model.to_matrix(_model.eval_columns(elem, point))
-
-    R._fast_eval = fast_eval
     _IRREP_CACHE[key] = R
     return R
 

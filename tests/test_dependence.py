@@ -1,6 +1,11 @@
 """Dependence decisions, localized span certificates, witness dimensions."""
 
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +123,70 @@ def test_no_membership_certificate():
     cert = loc_span_solve(A.pbw_gen("X"), [A.pbw_gen("X"), A.pbw_gen("Y")])
     assert cert.z0 == CenterPoly.const(1, 1)
     assert _consts(cert.z) == [1, 0]
+
+
+def test_condition1_at_a_large_root_dimension():
+    # z0 = 2C - 39999 vanishes at c_200; q = XY survives at rho_200, so the
+    # check must say no, from sparse images rather than a 200 x 200 matrix
+    A = sl2()
+    q = A.pbw_mono((1, 1, 0))
+    p = q.scale(CenterPoly(1, {(1,): 2, (0,): -39999}))
+    start = time.perf_counter()
+    cert = loc_span_solve(q, [p])
+    assert cert.z0 == CenterPoly(1, {(1,): 2, (0,): -39999})
+    assert sl2_denominator_roots(cert.z0) == [200]
+    assert condition1_check(cert, q) is False
+    assert time.perf_counter() - start < 3.0
+
+
+def test_condition1_holds_where_q_acts_as_zero():
+    # z0 = 2C - 15 vanishes at c_4, and X^4 acts by zero on rho_4
+    A = sl2()
+    q = A.pbw_gen("X", 4)
+    cert = loc_span_solve(q, [q.scale(CenterPoly(1, {(1,): 2, (0,): -15}))])
+    assert sl2_denominator_roots(cert.z0) == [4]
+    assert condition1_check(cert, q) is True
+
+
+_FAILING_CHECKS = """
+import sys
+import envlld.dependence as dep
+from envlld.algebra import sl2
+from envlld.cli import main
+A = sl2()
+real = dep.apply_to_vector
+family = [A.pbw_gen("X"), A.pbw_gen("Y")]
+# the witness images of the family itself come back as zero vectors
+dep.apply_to_vector = lambda e, R, v: (
+    [0] * R.dim if any(e is p for p in family) else real(e, R, v))
+try:
+    dep.witness_independence(family)
+except dep.CertificateError:
+    pass
+else:
+    sys.exit("witness rank check skipped")
+dep.verify_identity = lambda zs, ps: False
+try:
+    dep.loc_span_solve(A.pbw_gen("X"), [A.pbw_gen("X")])
+except dep.CertificateError:
+    pass
+else:
+    sys.exit("localization check skipped")
+sys.exit(main(["decide", "center", "I", "2XY + 1/2H^2 - H"]))
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    # under -O every assert is stripped; the certificate checks must still
+    # raise, and the CLI must report a failed check with exit code 3
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-O", "-c", _FAILING_CHECKS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert "internal error: certificate failed recomposition" in res.stderr
 
 
 def test_denominator_roots():

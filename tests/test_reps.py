@@ -1,15 +1,21 @@
 """Finite-dimensional sl2 modules: matrices, scalars, witness vectors."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from envlld.algebra import sl2
 from envlld.center import casimir_elements
-from envlld.reps import (apply_to_vector, c_scalar, casimir_scalars,
-                         d2_scalar, d3_scalar, eval_element, mat_identity,
-                         mat_mul, mat_scale, mat_zero, prop32_vector,
-                         sl2_irrep, sym_power_rep, theorem1_witness)
+from envlld.centerpoly import CenterPoly, poly_eval
+from envlld.linalg import RatEchelon
+from envlld.reps import (acts_as_zero, apply_to_vector, c_scalar,
+                         casimir_scalars, d2_scalar, d3_scalar, eval_element,
+                         mat_add, mat_identity, mat_mul, mat_scale, mat_zero,
+                         prop32_vector, sl2_irrep, sym_power_rep,
+                         theorem1_witness)
+from envlld.sl3reps import sl3_irrep
 
 
 def _defects_vanish(R):
@@ -121,3 +127,90 @@ def test_monomial_matrix_is_a_product():
     prod = mat_mul(mat_mul(R.matrix("X"), R.matrix("X")),
                    mat_mul(R.matrix("Y"), R.matrix("H")))
     assert m == prod
+
+
+# -- sparse evaluation against dense products of generator matrices ---------
+
+MODULES = {
+    **{f"rho_{n}": (lambda n=n: sl2_irrep(n)) for n in range(1, 10)},
+    "sym2_pi2": lambda: sym_power_rep(2, 2),
+    "symblock_2_2": lambda: theorem1_witness(2, 2)[0],
+    "pi_1_1": lambda: sl3_irrep((1, 1)),
+    "pi_2_1": lambda: sl3_irrep((2, 1)),
+}
+
+
+def _random_element(rng, R, deg=4):
+    A = R.algebra
+    e = A.pbw_zero()
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * A.ngens
+        for _ in range(rng.randint(0, deg)):
+            exps[rng.randrange(A.ngens)] += 1
+        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if R.center_point is not None and rng.random() < 0.5:
+            coeff = CenterPoly.variable(A.center_arity,
+                                        rng.randrange(A.center_arity)) \
+                + CenterPoly.const(A.center_arity, coeff)
+        e = e + A.pbw_mono(tuple(exps), coeff)
+    return e
+
+
+def _dense_eval(e, R):
+    out = mat_zero(R.dim)
+    for exps, p in e.terms.items():
+        m = mat_identity(R.dim)
+        for g, k in zip(R.algebra.gens, exps):
+            for _ in range(k):
+                m = mat_mul(m, R.matrix(g))
+        c = p.const_value() if p.is_const() else poly_eval(p, R.center_point)
+        out = mat_add(out, mat_scale(m, c))
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(MODULES))
+def test_sparse_eval_matches_dense_products(label):
+    R = MODULES[label]()
+    rng = random.Random(label)
+    for _ in range(6):
+        e = _random_element(rng, R)
+        M = eval_element(e, R)
+        assert M == _dense_eval(e, R)
+        assert all(type(x) is Fraction for row in M for x in row)
+        vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+               for _ in range(R.dim)]
+        want = [sum(M[i][j] * vec[j] for j in range(R.dim))
+                for i in range(R.dim)]
+        assert apply_to_vector(e, R, vec) == want
+        assert acts_as_zero(e, R) == (M == mat_zero(R.dim))
+
+
+def test_acts_as_zero_without_a_matrix():
+    A = sl2()
+    for k in (2, 5, 40):
+        R = sl2_irrep(k)
+        assert acts_as_zero(A.pbw_gen("X", k), R)
+        assert not acts_as_zero(A.pbw_gen("X", k - 1), R)
+    # (C - c_k) vanishes on rho_k through its center coefficient only
+    shifted = A.pbw_const(1).scale(
+        CenterPoly.variable(1) - CenterPoly.const(1, c_scalar(7)))
+    assert acts_as_zero(shifted, sl2_irrep(7))
+    assert not acts_as_zero(shifted, sl2_irrep(6))
+
+
+def test_witness_shape_rank_at_rho_36():
+    # the 36 constrained monomials of degree <= 5 applied to the
+    # distinguished vector at rho_36: the shape the witness search checks
+    A = sl2()
+    monos = [(rest, 0, c) for s in range(6) for c in range(s + 1)
+             for rest in [s - c]]
+    monos += [(0, rest, c) for rest, _, c in monos if rest]
+    assert len(monos) == 36
+    start = time.perf_counter()
+    R = sl2_irrep(36)
+    vec = prop32_vector(5)
+    ech = RatEchelon(36)
+    for e in monos:
+        ech.add(apply_to_vector(A.pbw_mono(e), R, vec))
+    assert ech.rank == 36
+    assert time.perf_counter() - start < 0.5
