@@ -107,21 +107,6 @@ def _apply(pairs_of, vec):
     return {d: v for d, v in out.items() if v}
 
 
-def _image(memo, exps, step):
-    """memo[exps], filling in the prefix chain: the image of exps is
-    step(gi, image of exps with one generator gi removed), where gi is the
-    first generator of the ordered monomial."""
-    chain = []
-    while exps not in memo:
-        gi = next(i for i, e in enumerate(exps) if e)
-        chain.append((exps, gi))
-        exps = exps[:gi] + (exps[gi] - 1,) + exps[gi + 1:]
-    img = memo[exps]
-    for e, gi in reversed(chain):
-        img = memo[e] = step(gi, img)
-    return img
-
-
 def _dense(n, columns):
     out = [[_ZERO] * n for _ in range(n)]
     for src, col in enumerate(columns):
@@ -166,10 +151,20 @@ class RepMatrices:
         return _dense(self.dim, self.action[name])
 
     def mono_image(self, exps):
-        """Sparse columns {dst: coeff} of one ordered monomial, cached."""
-        gens = self.algebra.gens
-        return _image(self._images, exps, lambda gi, cols: tuple(
-            _apply(self.action[gens[gi]], col) for col in cols))
+        """Sparse columns {dst: coeff} of one ordered monomial, cached.
+
+        The image of exps is its first generator gi applied to the image of
+        exps with one gi removed; the missing prefixes are filled in."""
+        memo, chain = self._images, []
+        while exps not in memo:
+            gi = next(i for i, e in enumerate(exps) if e)
+            chain.append((exps, gi))
+            exps = exps[:gi] + (exps[gi] - 1,) + exps[gi + 1:]
+        cols = memo[exps]
+        for e, gi in reversed(chain):
+            pairs_of = self.action[self.algebra.gens[gi]]
+            cols = memo[e] = tuple(_apply(pairs_of, col) for col in cols)
+        return cols
 
     def mono_matrix(self, exps):
         """Dense view of one ordered monomial; the dense form is not cached."""
@@ -226,23 +221,24 @@ def eval_element(elem, R, center_point=None):
     return _dense(R.dim, _columns(elem, R, center_point))
 
 
-def acts_as_zero(elem, R, center_point=None):
+def acts_as_zero(elem, R):
     """True when R(elem) is the zero operator, decided column by column with
     no dense matrix."""
-    return not any(x for col in _columns(elem, R, center_point) for _, x in col)
+    return not any(x for col in _columns(elem, R, None) for _, x in col)
 
 
 def apply_to_vector(elem, R, vec, center_point=None):
-    """R(elem) applied to a vector, as a list of Fractions; the monomials of
-    elem share their prefixes within the call."""
+    """R(elem) applied to a vector, as a list of Fractions, from the cached
+    monomial images of R."""
     assert len(vec) == R.dim
-    gens = R.algebra.gens
-    memo = {(0,) * len(gens): {i: _num(x) for i, x in enumerate(vec) if x}}
+    support = [(s, _num(x)) for s, x in enumerate(vec) if x]
     out = [_ZERO] * R.dim
     for c, exps in _nonzero_terms(elem, R, center_point):
-        w = _image(memo, exps, lambda gi, v: _apply(R.action[gens[gi]], v))
-        for i, x in w.items():
-            out[i] += c * x
+        img = R.mono_image(exps)
+        for s, x in support:
+            cx = c * x
+            for i, y in img[s].items():
+                out[i] += cx * y
     return out
 
 

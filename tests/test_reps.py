@@ -206,11 +206,13 @@ def test_witness_shape_rank_at_rho_36():
              for rest in [s - c]]
     monos += [(0, rest, c) for rest, _, c in monos if rest]
     assert len(monos) == 36
-    start = time.perf_counter()
     R = sl2_irrep(36)
     vec = prop32_vector(5)
+    # the budget sits well above the sparse path (about 0.03-0.05 s) and
+    # below evaluation by dense matrix products (0.54-0.84 s)
+    start = time.perf_counter()
     ech = RatEchelon(36)
     for e in monos:
         ech.add(apply_to_vector(A.pbw_mono(e), R, vec))
     assert ech.rank == 36
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < 0.25
