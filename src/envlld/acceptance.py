@@ -48,12 +48,18 @@ class CriterionResult:
         return base
 
 
+def _check(ok, msg="check failed"):
+    # an explicit raise rather than assert, so the checks also run under -O
+    if not ok:
+        raise AssertionError(msg)
+
+
 def _c1_sl2_casimir():
     C = casimir_elements("sl2")["C"]
     for k in range(1, 13):
         R = sl2_irrep(k)
         want = mat_scale(mat_identity(k), c_scalar(k))
-        assert eval_element(C, R) == want, f"Casimir not scalar at dim {k}"
+        _check(eval_element(C, R) == want, f"Casimir not scalar at dim {k}")
     return "k = 1..12, all exact"
 
 
@@ -65,8 +71,8 @@ def _c2_sl3_casimir():
             for name, val in (("Z2", d2_scalar(m1, m2)),
                               ("Z3", d3_scalar(m1, m2))):
                 want = mat_scale(mat_identity(R.dim), val)
-                assert eval_element(Z[name], R) == want, \
-                    f"{name} not scalar at weight ({m1},{m2})"
+                _check(eval_element(Z[name], R) == want,
+                       f"{name} not scalar at weight ({m1},{m2})")
     return "Z2 and Z3 scalar on all weights up to (3,3)"
 
 
@@ -86,7 +92,7 @@ def _c3_minimal_dimension_ranks():
     for d in (1, 2, 3):
         monos = _constrained_monos(d)
         want = sum(2 * e + 1 for e in range(d + 1))
-        assert len(monos) == want == (d + 1) ** 2
+        _check(len(monos) == want == (d + 1) ** 2)
         for t in (0, 1, 2):
             n = (d + 1) ** 2 + t
             R = sl2_irrep(n)
@@ -94,7 +100,8 @@ def _c3_minimal_dimension_ranks():
             ech = RatEchelon(n)
             for e in monos:
                 ech.add(apply_to_vector(A.pbw_mono(e), R, vec))
-            assert ech.rank == want, f"rank {ech.rank} != {want} at d={d} t={t}"
+            _check(ech.rank == want,
+                   f"rank {ech.rank} != {want} at d={d} t={t}")
     return "rank (d+1)^2 for d <= 3, shifts 0..2"
 
 
@@ -111,8 +118,9 @@ def _c4_symmetric_block_witness():
                     total += 1
                     ech.add(apply_to_vector(
                         A.pbw_mono((a, b, s - a - b)), R, vec))
-        assert total == counts[d]
-        assert ech.rank == counts[d], f"rank {ech.rank} != {counts[d]} at d={d}"
+        _check(total == counts[d])
+        _check(ech.rank == counts[d],
+               f"rank {ech.rank} != {counts[d]} at d={d}")
     return "monomial images independent, counts 4 and 10"
 
 
@@ -151,14 +159,15 @@ def _c5_dependence_round_trip():
         v = decide_center_dependence(ps)
         if v.kind == "dependent":
             dep += 1
-            assert verify_identity(v.certificate.z, ps)
+            _check(verify_identity(v.certificate.z, ps))
             for entry in empirical_lld(ps, range(2, 9)):
-                assert entry["dependent"], f"not dependent at {entry['label']}"
+                _check(entry["dependent"],
+                       f"not dependent at {entry['label']}")
         else:
             indep += 1
             w = witness_independence(ps)
-            assert w.evidence["rank"] == k
-    assert dep and indep, "instance mix failed to cover both verdicts"
+            _check(w.evidence["rank"] == k)
+    _check(dep and indep, "instance mix failed to cover both verdicts")
     return f"{dep} dependent, {indep} independent, all cross-checked"
 
 
@@ -184,26 +193,26 @@ def _c6_counterexample_suite():
 
     q, ps = one
     cert = loc_span_solve(q, ps)
-    assert cert is not None
-    assert poly_eval(cert.z0, (c_scalar(2),)) == 0, "denominator misses c_2"
-    assert condition1_check(cert, q) is False
+    _check(cert is not None)
+    _check(poly_eval(cert.z0, (c_scalar(2),)) == 0, "denominator misses c_2")
+    _check(condition1_check(cert, q) is False)
     for entry in empirical_lld(ps, range(2, 9), q=q):
-        assert entry["in_span"], f"span membership lost at {entry['label']}"
+        _check(entry["in_span"], f"span membership lost at {entry['label']}")
 
     q, ps = two
     lld = empirical_lld(ps, [2], q=q)
-    assert lld[0]["in_span"] is False, "operator span unexpectedly holds"
+    _check(lld[0]["in_span"] is False, "operator span unexpectedly holds")
     for n in range(2, 7):
         rep = empirical_ref(q, ps, n, samples=100, seed=n)
-        assert rep["counterexample"] is None, f"vector counterexample at {n}"
+        _check(rep["counterexample"] is None, f"vector counterexample at {n}")
 
     q, ps = three
     zc = CenterPoly.variable(1, 0) - CenterPoly.const(1, Fraction(3, 2))
-    assert verify_identity((zc, CenterPoly.const(1, Fraction(-1))), (q, *ps))
+    _check(verify_identity((zc, CenterPoly.const(1, Fraction(-1))), (q, *ps)))
     rep = empirical_ref(q, ps, 2, samples=10, seed=0)
     ce = rep["counterexample"]
-    assert ce is not None and ce["kind"] == "basis" and ce["index"] == 0
-    assert ce["vector"] == ["1", "0"]
+    _check(ce is not None and ce["kind"] == "basis" and ce["index"] == 0)
+    _check(ce["vector"] == ["1", "0"])
     return "all three localized-span instances behave as recorded"
 
 
@@ -227,9 +236,9 @@ def _c7_sl3_basis_over_center():
         e = _rand_sl3_elem(rng, B, 4)
         d = decompose(e)
         for mono in d.monomials():
-            assert mono[1] * mono[4] == 0 and mono[7] <= 2, \
-                f"unconstrained output monomial {mono}"
-        assert d.expand() == e, "recomposition drifted"
+            _check(mono[1] * mono[4] == 0 and mono[7] <= 2,
+                   f"unconstrained output monomial {mono}")
+        _check(d.expand() == e, "recomposition drifted")
         for w in weights:
             R = reps[w]
             model = R._model
@@ -248,7 +257,7 @@ def _c7_sl3_basis_over_center():
                     for j in range(D):
                         if row[j]:
                             dst[j] += val * row[j]
-            assert lhs == rhs, f"evaluation mismatch at weight {w}"
+            _check(lhs == rhs, f"evaluation mismatch at weight {w}")
     return "25 elements, constraints and evaluations all exact"
 
 
@@ -257,10 +266,10 @@ def _c8_generator_action_table():
     triples = [(i, j, k)
                for i in range(3) for j in range(3) for k in range(3)
                if i + j + k <= 2]
-    assert len(triples) == 10
+    _check(len(triples) == 10)
     for tri in triples:
         for gen in R.algebra.gens:
-            assert lemma_agreement(R, tri, gen), f"rule {gen} fails at {tri}"
+            _check(lemma_agreement(R, tri, gen), f"rule {gen} fails at {tri}")
     return "8 generator rules on 10 basis vectors at weight (3,3)"
 
 
@@ -294,9 +303,9 @@ def _c9_sampled_versus_symbolic_rank():
             for i in range(rows):
                 ech.add([poly_eval(M.entries[i][j], point)
                          for j in range(cols)])
-            assert ech.rank <= sym, "numeric rank exceeded symbolic rank"
+            _check(ech.rank <= sym, "numeric rank exceeded symbolic rank")
             attained = max(attained, ech.rank)
-        assert attained == sym, f"symbolic rank {sym} never attained"
+        _check(attained == sym, f"symbolic rank {sym} never attained")
     return "20 matrices, 20 sample points each"
 
 
@@ -309,7 +318,7 @@ def _c10_trace_duality():
         q = _rand_sl2_elem(rng, A, 2)
         for n in (2, 3, 4):
             res = duality_check(q, ps, n)
-            assert res["agrees"], f"duality split at {res['label']}"
+            _check(res["agrees"], f"duality split at {res['label']}")
     return "membership iff trace orthogonality, 20 instances at dims 2..4"
 
 

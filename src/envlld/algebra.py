@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .centerpoly import CenterPoly, Rat, as_rat, grlex_key
-from .linalg import rat_solve
+from .linalg import RatEchelon
 
 
 def _mat_mul(a, b):
@@ -64,9 +64,19 @@ class AlgebraSpec:
         return len(self.center)
 
     def _expand_in_gens(self, mat):
+        # mat = sum_g x_g mats[g] exactly when the columns (mats[g] | mat)
+        # have a kernel vector (-x, 1); it is the last one, if there is one
         cols = [_flatten(self.mats[g]) for g in self.gens]
-        x = rat_solve(cols, _flatten(mat))
-        assert x is not None, "matrix is outside the span of the generators"
+        target = _flatten(mat)
+        ech = RatEchelon(len(cols) + 1)
+        for i, t in enumerate(target):
+            ech.add([col[i] for col in cols] + [t])
+        kernel = ech.kernel()
+        assert kernel and kernel[-1][-1] == 1, \
+            "matrix is outside the span of the generators"
+        x = [-a for a in kernel[-1][:-1]]
+        for i, t in enumerate(target):
+            assert sum(xj * col[i] for xj, col in zip(x, cols)) == t
         return x
 
     def _compute_brackets(self):

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 import random
 
 from .algebra import PBWElement, get_algebra, sl2, sl3
 from .center import decompose, verify_identity
 from .centerpoly import CenterPoly, grlex_key, poly_eval
-from .linalg import PolyMatrix, RatEchelon, ff_rank_kernel, solve_fraction_field
+from .linalg import (CertificateError, PolyMatrix, RatEchelon, ff_rank_kernel,
+                     solve_fraction_field)
 from .reps import (RepMatrices, acts_as_zero, apply_to_vector, c_scalar,
                    casimir_scalars, d2_scalar, d3_scalar, eval_element,
                    prop32_vector, sl2_irrep)
@@ -40,11 +41,6 @@ class Certificate:
     membership; z0 is the localizing denominator when one is involved."""
     z: tuple
     z0: object = None
-
-
-class CertificateError(RuntimeError):
-    """Raised when a certificate fails the check that must pass before it
-    is reported; an explicit raise, so the check also runs under -O."""
 
 
 @dataclass(frozen=True)
@@ -64,35 +60,36 @@ def _check_family(ps):
 
 def decide_c_dependence(ps):
     """Dependence with plain rational coefficients.  Inputs must be center
-    free; the coordinate matrix over the PBW monomials decides exactly."""
+    free; the coordinate matrix over the PBW monomials decides exactly.
+
+    The certificate is the first dependency in input order: the relation
+    that writes the earliest p_f lying in the span of p_1 .. p_(f-1).
+    """
     A = _check_family(ps)
     for p in ps:
         for poly in p.terms.values():
             if not poly.is_const():
                 raise ValueError("scalar dependence is for center-free inputs")
     monos = sorted({e for p in ps for e in p.terms}, key=grlex_key)
-    arity = A.center_arity
-    entries = [[CenterPoly.const(arity, p.coeff(m).const_value()) for p in ps]
-               for m in monos]
-    res = ff_rank_kernel(PolyMatrix(arity, len(monos), len(ps), entries))
-    ev = {"rank": res.rank, "count": len(ps), "monomials": len(monos)}
-    if res.kernel_basis:
-        return Verdict("dependent", Certificate(_coprime_ints(res.kernel_basis[0])), ev)
+    ech = RatEchelon(len(ps))
+    for m in monos:
+        ech.add([p.coeff(m).const_value() for p in ps])
+    kernel = ech.kernel()
+    ev = {"rank": ech.rank, "count": len(ps), "monomials": len(monos)}
+    if kernel:
+        z = _coprime_ints(kernel[0], A.center_arity)
+        return Verdict("dependent", Certificate(z), ev)
     return Verdict("independent", None, ev)
 
 
-def _coprime_ints(vec):
-    # all-constant kernel vectors print as coprime integers, first one positive
-    from math import gcd, lcm
-    vals = [x.const_value() for x in vec]
+def _coprime_ints(vals, arity):
+    # a rational relation prints as coprime integers, first nonzero positive
     nz = [v for v in vals if v]
-    scale = Fraction(lcm(*(v.denominator for v in nz)) if len(nz) > 1
-                     else nz[0].denominator,
-                     gcd(*(abs(v.numerator) for v in nz)) if len(nz) > 1
-                     else abs(nz[0].numerator))
-    if nz[0] * scale < 0:
+    scale = Fraction(lcm(*(v.denominator for v in nz)),
+                     gcd(*(v.numerator for v in nz)))
+    if nz[0] < 0:
         scale = -scale
-    return tuple(x * scale for x in vec)
+    return tuple(CenterPoly.const(arity, x * scale) for x in vals)
 
 
 def _coordinate_matrix(decs, arity):
@@ -356,17 +353,12 @@ def sl3_weight_scan(cert, bound):
 
 def trace_pairing_complement(mats, dim):
     """Basis of the matrices B with tr(M B) = 0 for every listed M."""
-    rows = []
+    ech = RatEchelon(dim * dim)
     for M in mats:
-        rows.append([CenterPoly.const(1, M[b][a])
-                     for a in range(dim) for b in range(dim)])
-    res = ff_rank_kernel(PolyMatrix(1, len(rows), dim * dim, rows))
-    out = []
-    for v in res.kernel_basis:
-        vals = [x.const_value() for x in v]
-        out.append(tuple(tuple(vals[a * dim + b] for b in range(dim))
-                         for a in range(dim)))
-    return out
+        ech.add([M[b][a] for a in range(dim) for b in range(dim)])
+    return [tuple(tuple(v[a * dim + b] for b in range(dim))
+                  for a in range(dim))
+            for v in ech.kernel()]
 
 
 def duality_check(q, ps, rep, center_point=None):

@@ -1,14 +1,17 @@
-"""Fraction-free linear algebra over Q[C] and Q[Z2, Z3].
+"""Exact linear algebra: fraction-free over Q[C] and Q[Z2, Z3], reduced over Q.
 
-One-step Bareiss elimination keeps every intermediate entry polynomial: the
-update (piv*a_ij - c_i*a_kj) / prev_pivot divides exactly at each step, which
-is asserted rather than assumed.  A single pass yields the rank, the pivot
+Matrices of center polynomials go through one-step Bareiss elimination, which
+keeps every intermediate entry polynomial: the update
+(piv*a_ij - c_i*a_kj) / prev_pivot divides exactly at each step, which is
+asserted rather than assumed.  A single pass yields the rank, the pivot
 columns (tracked through a virtual column permutation, no data is moved), and
 a content-normalized kernel basis.  Pivots are chosen by lowest total degree
 with deterministic ties, so results are reproducible across runs.
 
-Rational (arity-free) helpers live here too: an incremental reduced echelon
-for rank and span-membership queries over Q.
+Everything over Q goes through one routine, RatEchelon: an incremental
+reduced row echelon form that answers rank, span membership and null space.
+A solve or a change of coordinates is a kernel or a reduction of an
+augmented row, so there is no separate solver or inverse.
 """
 
 from __future__ import annotations
@@ -145,8 +148,19 @@ def solve_fraction_field(M, b):
     return None
 
 
+class CertificateError(RuntimeError):
+    """Raised when a certificate fails the check that must pass before it
+    is reported; an explicit raise, so the check also runs under -O."""
+
+
 class RatEchelon:
-    """Incremental reduced echelon over Q for rank and membership queries."""
+    """Incremental reduced row echelon form over Q of the inserted rows.
+
+    Stored rows are kept reduced against every pivot.  So when independent
+    u_t were inserted as (u_t | e_t), reducing (vec | 0) leaves
+    (residue | -x) with vec = sum x_t u_t + residue: an identity tail reads
+    off coordinates.
+    """
 
     def __init__(self, width):
         self.width = width
@@ -186,64 +200,18 @@ class RatEchelon:
     def rank(self):
         return len(self.rows)
 
-
-def rat_rank(vectors, width):
-    ech = RatEchelon(width)
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
-
-
-def rat_solve(columns, target):
-    """Exact coordinates x with sum_j x_j columns[j] = target, or None.
-
-    Plain Gaussian elimination over Q on the augmented system; the result is
-    verified against the input columns before being returned.
-    """
-    n = len(columns)
-    width = len(target)
-    rows = [[as_rat(columns[j][i]) for j in range(n)] + [as_rat(target[i])]
-            for i in range(width)]
-    piv_of_col = {}
-    r = 0
-    for j in range(n):
-        pi = next((i for i in range(r, width) if rows[i][j]), None)
-        if pi is None:
-            continue
-        rows[r], rows[pi] = rows[pi], rows[r]
-        inv = Fraction(1) / rows[r][j]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(width):
-            if i != r and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        piv_of_col[j] = r
-        r += 1
-    for i in range(r, width):
-        if rows[i][n]:
-            return None
-    x = [rows[piv_of_col[j]][n] if j in piv_of_col else Fraction(0) for j in range(n)]
-    for i in range(width):
-        acc = sum((x[j] * as_rat(columns[j][i]) for j in range(n)), Fraction(0))
-        assert acc == as_rat(target[i])
-    return x
-
-
-def rat_inv(mat):
-    """Inverse of a square matrix over Q; raises ValueError if singular."""
-    n = len(mat)
-    aug = [[as_rat(mat[i][j]) for j in range(n)] +
-           [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-           for i in range(n)]
-    for j in range(n):
-        pi = next((i for i in range(j, n) if aug[i][j]), None)
-        if pi is None:
-            raise ValueError("matrix is singular")
-        aug[j], aug[pi] = aug[pi], aug[j]
-        inv = Fraction(1) / aug[j][j]
-        aug[j] = [a * inv for a in aug[j]]
-        for i in range(n):
-            if i != j and aug[i][j]:
-                c = aug[i][j]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[j])]
-    return [row[n:] for row in aug]
+    def kernel(self):
+        """Null space of the inserted rows: one vector per non-pivot column,
+        in increasing column order, with a 1 in that column and 0 in the
+        other non-pivot columns."""
+        pivots = set(self.pivots)
+        basis = []
+        for f in range(self.width):
+            if f in pivots:
+                continue
+            v = [Fraction(0)] * self.width
+            v[f] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
+            basis.append(v)
+        return basis

@@ -7,10 +7,12 @@ act by integer derivation operators.  Starting from x1^m1 (x) u1^m2, the
 lowering monomials Y1^i Y2^j Y3^k are applied in lexicographic (i+j+k, i, j)
 order and a vector is admitted exactly when it enlarges the span.  Every
 generated vector is weight homogeneous, so admission and coordinate solves
-run blockwise per weight.  The sparse action of each generator on the
-admitted basis comes from exact solves verified against the model action
-entry by entry, so an sl3 irreducible is an ordinary RepMatrices and is
-evaluated through the same sparse monomial images as every other module.
+run blockwise per weight: one rational echelon per weight, whose rows carry
+an identity tail, both admits vectors and reads off coordinates.  The sparse
+action of each generator on the admitted basis comes from those coordinates,
+verified against the model action entry by entry, so an sl3 irreducible is
+an ordinary RepMatrices and is evaluated through the same sparse monomial
+images as every other module.
 The model keeps its own monomial images (mono_columns, eval_columns) as an
 independent cross-check in model space.
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import PBWElement, sl3
 from .centerpoly import poly_eval
-from .linalg import RatEchelon, rat_inv
+from .linalg import CertificateError, RatEchelon
 from .reps import RepMatrices, d2_scalar, d3_scalar, mono_exps
 
 
@@ -88,7 +90,7 @@ class Sl3Model:
         self.vmemo = {(0, 0, 0): start}
         self.admitted = None
         self.basis = None
-        self._solvers = None
+        self.blocks = None
         self._mono_cols = {}
 
     def _derivation_triples(self, Z1, Z2):
@@ -185,15 +187,18 @@ class Sl3Model:
         return v
 
     def close(self):
-        """Admit lowering vectors in (i+j+k, i, j) order until a level dies."""
+        """Admit lowering vectors in (i+j+k, i, j) order until a level dies.
+
+        Each weight keeps one echelon of its admitted vectors (v | e_t), the
+        t-th admitted vector of the weight with the t-th unit tail; it
+        decides admission and gives coordinates (see coords_of).
+        """
         weight_rows = {}
         for r in range(self.N):
             weight_rows.setdefault((self.wt1[r], self.wt2[r]), []).append(r)
-        self.weight_rows = weight_rows
-        block_ech = {}
+        blocks = {}
         admitted = []
         basis = []
-        admitted_wt = []
         level = 0
         while True:
             found = False
@@ -206,11 +211,17 @@ class Sl3Model:
                     found = True
                     wt = self.weight_of(v)
                     rows = weight_rows[wt]
-                    ech = block_ech.setdefault(wt, RatEchelon(len(rows)))
-                    if ech.add([Fraction(v[r]) for r in rows]):
+                    n = len(rows)
+                    ech, cols = blocks.setdefault(wt, (RatEchelon(2 * n), []))
+                    red = ech.reduce([v[r] for r in rows] + [0] * n)
+                    if any(red[:n]):
+                        # (v | 0) reduced plus the unit tail spans the same
+                        # rows as (v | e_t) and is already reduced
+                        red[n + len(cols)] += 1
+                        ech.add(red)
+                        cols.append(len(admitted))
                         admitted.append(tri)
                         basis.append(v)
-                        admitted_wt.append(wt)
             if not found and level > 0:
                 break
             level += 1
@@ -218,45 +229,28 @@ class Sl3Model:
             assert level <= 4 * (self.m1 + self.m2) + 4, "closure failed to terminate"
         self.admitted = tuple(admitted)
         self.basis = basis
-        self.admitted_wt = admitted_wt
+        self.blocks = {wt: (weight_rows[wt], ech, cols)
+                       for wt, (ech, cols) in blocks.items()}
         return len(admitted)
 
-    def build_solvers(self):
-        solvers = {}
-        for wt, rows in self.weight_rows.items():
-            cols = [b for b, w in enumerate(self.admitted_wt) if w == wt]
-            if not cols:
-                continue
-            ech = RatEchelon(len(cols))
-            prows = []
-            for r in rows:
-                if ech.add([Fraction(self.basis[b][r]) for b in cols]):
-                    prows.append(r)
-                if len(prows) == len(cols):
-                    break
-            assert len(prows) == len(cols), "basis block lost rank"
-            inv = rat_inv([[self.basis[b][r] for b in cols] for r in prows])
-            solvers[wt] = (cols, prows, inv)
-        self._solvers = solvers
-
-    def coords_of(self, u, verify=False):
-        """Coordinates of a model vector in the admitted basis, blockwise."""
+    def coords_of(self, u):
+        """Coordinates of a model vector in the admitted basis, blockwise,
+        checked exactly against the basis before they are returned."""
         coords = [Fraction(0)] * len(self.admitted)
         if not any(u):
             return coords
         wt = self.weight_of(u)
-        if wt not in self._solvers:
+        if wt not in self.blocks:
             raise ValueError("vector lies outside the generated module")
-        cols, prows, inv = self._solvers[wt]
-        rhs = [Fraction(u[r]) for r in prows]
-        x = [sum(inv[i][j] * rhs[j] for j in range(len(rhs))) for i in range(len(cols))]
-        if verify:
-            for r in self.weight_rows[wt]:
-                acc = sum((x[t] * self.basis[b][r] for t, b in enumerate(cols)),
-                          Fraction(0))
-                assert acc == u[r], "coordinate solve failed verification"
+        rows, ech, cols = self.blocks[wt]
+        n = len(rows)
+        tail = ech.reduce([u[r] for r in rows] + [0] * n)[n:]
         for t, b in enumerate(cols):
-            coords[b] = x[t]
+            coords[b] = -tail[t]
+        terms = [(self.basis[b], coords[b]) for b in cols if coords[b]]
+        for r in rows:
+            if sum(x * v[r] for v, x in terms) != u[r]:
+                raise CertificateError("coordinate solve failed verification")
         return coords
 
     def mono_columns(self, exps):
@@ -316,13 +310,12 @@ def sl3_irrep(w, max_entries=20000):
             f"({est * est} entries > cap {max_entries})")
     model = Sl3Model(m1, m2)
     D = model.close()
-    model.build_solvers()
     A = sl3()
     action = {g: [] for g in A.gens}
     for d in range(D):
         for g in A.gens:
             u = model.apply_vec(g, model.basis[d])
-            action[g].append(enumerate(model.coords_of(u, verify=True)))
+            action[g].append(enumerate(model.coords_of(u)))
     R = RepMatrices(A, D, action, f"pi_{m1}_{m2}",
                     center_point=(d2_scalar(m1, m2), d3_scalar(m1, m2)),
                     basis_meta=model.admitted)

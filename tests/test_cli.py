@@ -53,6 +53,9 @@ def test_decide_scalar_modes(capsys):
     code, out, _ = run(capsys, "decide", "c", "X", "Y")
     assert code == 1
     assert out.splitlines() == ["independent"]
+    code, out, _ = run(capsys, "decide", "c", "3X", "2X", "X")
+    assert code == 0
+    assert out.splitlines() == ["dependent", "certificate: (2, -3, 0)"]
     code, out, _ = run(capsys, "decide", "center", "I", "2XY + 1/2H^2 - H")
     assert code == 0
     assert out.splitlines() == ["dependent", "certificate: (C, -1)"]

@@ -43,6 +43,16 @@ def test_scalar_dependence_certificates():
     assert v.evidence["rank"] == 1
 
 
+def test_scalar_certificate_is_the_first_dependency():
+    # the kernel has dimension 2; the certificate writes 2X, the earliest
+    # element in the span of the ones before it
+    A = sl2()
+    x = A.pbw_gen("X")
+    v = decide_c_dependence([x.scale(3), x.scale(2), x])
+    assert v.kind == "dependent" and _consts(v.certificate.z) == [2, -3, 0]
+    assert v.evidence == {"rank": 1, "count": 3, "monomials": 1}
+
+
 def test_scalar_dependence_rejects_center_coefficients():
     A = sl2()
     with pytest.raises(ValueError):

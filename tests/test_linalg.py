@@ -1,15 +1,14 @@
-"""Fraction-free elimination, kernels, and the rational helpers."""
+"""Fraction-free elimination, kernels, and the rational echelon."""
 
 from fractions import Fraction
 import random
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from envlld.centerpoly import CenterPoly, poly_eval
-from envlld.linalg import (PolyMatrix, RatEchelon, ff_rank_kernel, rat_inv,
-                           rat_rank, rat_solve, solve_fraction_field)
+from envlld.linalg import (PolyMatrix, RatEchelon, ff_rank_kernel,
+                           solve_fraction_field)
 
 C = CenterPoly.variable(1)
 ONE = CenterPoly.const(1, 1)
@@ -117,7 +116,7 @@ def test_solve_inconsistent_is_none():
     assert solve_fraction_field(M, (ZERO, ONE)) is None
 
 
-# --- rational helpers ---
+# --- rational echelon ---
 
 def test_echelon_membership():
     ech = RatEchelon(3)
@@ -129,18 +128,53 @@ def test_echelon_membership():
     assert not ech.contains([Fraction(0), Fraction(0), Fraction(1)])
 
 
-def test_rat_rank_and_solve():
-    vecs = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert rat_rank(vecs, 2) == 1
-    cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    coords = rat_solve(cols, [Fraction(3), Fraction(2)])
-    assert coords == [Fraction(1), Fraction(2)]
-    assert rat_solve(cols[:1], [Fraction(0), Fraction(1)]) is None
+def test_echelon_kernel_is_indexed_by_the_free_columns():
+    ech = RatEchelon(3)
+    ech.add([3, 2, 1])
+    assert ech.kernel() == [[Fraction(-2, 3), 1, 0], [Fraction(-1, 3), 0, 1]]
+    ech.add([0, 1, 1])
+    assert ech.kernel() == [[Fraction(1, 3), -1, 1]]
+    assert RatEchelon(2).kernel() == [[1, 0], [0, 1]]
 
 
-def test_rat_inv():
-    m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = rat_inv(m)
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    with pytest.raises(ValueError):
-        rat_inv([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+def rat_matrices():
+    # zeros are common, so that dependent rows and zero columns show up
+    entries = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=3))
+    return st.integers(1, 5).flatmap(
+        lambda r: st.integers(1, 6).flatmap(
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c),
+                               min_size=r, max_size=r)))
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None)
+@given(rat_matrices())
+def test_echelon_kernel_and_coordinates(rows):
+    width = len(rows[0])
+    ech = RatEchelon(width)
+    for r in rows:
+        ech.add(r)
+    kernel = ech.kernel()
+    assert ech.rank + len(kernel) == width
+    free = [j for j in range(width) if j not in ech.pivots]
+    for v, f in zip(kernel, free):
+        assert [v[j] for j in free] == [int(j == f) for j in free]
+        for r in rows:
+            assert sum(a * b for a, b in zip(r, v)) == 0
+    # coordinates through an identity tail rebuild every row
+    n = len(rows)
+    tailed = RatEchelon(width + n)
+    basis = []
+    for r in rows:
+        if any(tailed.reduce(r + [0] * n)[:width]):
+            tailed.add(r + [int(t == len(basis)) for t in range(n)])
+            basis.append(r)
+    assert len(basis) == ech.rank
+    for r in rows:
+        red = tailed.reduce(r + [0] * n)
+        assert not any(red[:width])
+        x = [-a for a in red[width:]]
+        assert [sum(x[t] * b[j] for t, b in enumerate(basis))
+                for j in range(width)] == r

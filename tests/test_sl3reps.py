@@ -1,10 +1,15 @@
 """Highest-weight sl3 modules built from lowering words."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from envlld.center import casimir_elements
+from envlld.linalg import CertificateError
 from envlld.reps import (d2_scalar, d3_scalar, eval_element, mat_identity,
                          mat_scale, mat_zero)
 from envlld.sl3reps import (classical_dim, lemma_action, lemma_agreement,
@@ -85,3 +90,58 @@ def test_size_cap_and_caching():
     with pytest.raises(ValueError):
         sl3_irrep((9, 9))
     assert sl3_irrep((1, 1)) is sl3_irrep((1, 1))
+
+
+def test_coordinates_in_the_admitted_basis():
+    model = sl3_irrep((2, 1))._model
+    D = len(model.admitted)
+    for b, v in enumerate(model.basis):
+        assert model.coords_of(v) == [int(t == b) for t in range(D)]
+    assert model.coords_of([0] * model.N) == [0] * D
+    # Sym^2 (x) Sym^1 is 18-dimensional and the module 15: some model unit
+    # vector has a weight of the module but lies outside it
+    outside = 0
+    for r in range(model.N):
+        u = [int(i == r) for i in range(model.N)]
+        try:
+            model.coords_of(u)
+        except CertificateError:
+            outside += 1
+    assert outside > 0
+
+
+_WRONG_COORDINATE = """
+import sys
+from envlld import sl3reps
+from envlld.cli import main
+model = sl3reps.Sl3Model(1, 1)
+model.close()
+v = model.basis[0]
+# the echelon still holds v, so v gets coordinate 1 where 1/2 is right
+model.basis[0] = [2 * x for x in v]
+try:
+    model.coords_of(v)
+except sl3reps.CertificateError:
+    pass
+else:
+    sys.exit("coordinate check skipped")
+close = sl3reps.Sl3Model.close
+def doubled_close(self):
+    D = close(self)
+    self.basis[0] = [2 * x for x in self.basis[0]]
+    return D
+sl3reps.Sl3Model.close = doubled_close
+sys.exit(main(["rep", "--algebra", "sl3", "--weights", "1", "1"]))
+"""
+
+
+def test_coordinate_check_survives_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_COORDINATE],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert ("internal error: coordinate solve failed verification"
+            in res.stderr)
