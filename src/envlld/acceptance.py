@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import pbw_normal_form, sl2, sl3
-from .center import casimir_elements, decompose, verify_identity
+from .center import (casimir_elements, decompose, sl2_constrained_monos,
+                     verify_identity)
 from .centerpoly import CenterPoly, poly_eval
 from .dependence import (condition1_check, decide_center_dependence,
                          duality_check, empirical_lld, empirical_ref,
@@ -76,21 +77,10 @@ def _c2_sl3_casimir():
     return "Z2 and Z3 scalar on all weights up to (3,3)"
 
 
-def _constrained_monos(d):
-    out = []
-    for s in range(d + 1):
-        for c in range(s + 1):
-            rest = s - c
-            out.append((rest, 0, c))
-            if rest:
-                out.append((0, rest, c))
-    return out
-
-
 def _c3_minimal_dimension_ranks():
     A = sl2()
     for d in (1, 2, 3):
-        monos = _constrained_monos(d)
+        monos = sl2_constrained_monos(d)
         want = sum(2 * e + 1 for e in range(d + 1))
         _check(len(monos) == want == (d + 1) ** 2)
         for t in (0, 1, 2):

@@ -5,11 +5,16 @@ H2 for sl3.  Structure constants are not typed in: every bracket is computed
 from the defining matrices and expanded back in the generator basis, with the
 expansion verified exactly.
 
-Normal form runs a worklist that always rewrites the leftmost out-of-order
-adjacent pair, a*b -> b*a + [a, b].  A swap keeps its chain's step counter and
-a bracket replacement starts a fresh chain; each chain is bounded by (word
-length)^3 steps, asserted.  Words and the products of ordered monomials are
-memoized per algebra.
+Normal forms come from one rule.  For an ordered monomial m x_h whose last
+generator x_h comes after the generator g,
+
+    m x_h g = (m g) x_h + m [x_h, g];
+
+if g does not come before x_h, m x_h g is already ordered.  The rule
+terminates: every product it recurses on has lower degree or is ordered (the
+leading term of m g times x_h is).  The engine works in integers, as every
+sl2 and sl3 structure constant in these bases is one; a Fraction stays only
+where a bracket coefficient is not integral.  Products are memoized.
 
 Center symbols (C, or Z2 and Z3) are extra commuting letters, so free words
 may mention them; PBW form folds them into the polynomial coefficient.  For
@@ -21,42 +26,34 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .centerpoly import CenterPoly, Rat, as_rat, grlex_key
+from .centerpoly import CenterPoly, as_rat, grlex_key
 from .linalg import RatEchelon
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
 
 
 def _mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _flatten(m):
-    return [x for row in m for x in row]
-
-
 class AlgebraSpec:
     """sl2 or sl3: ordered generators, defining matrices, computed brackets."""
 
-    def __init__(self, name, gens, center, mats, matdim):
+    def __init__(self, name, gens, center, mats):
         self.name = name
         self.gens = tuple(gens)
         self.center = tuple(center)
-        self.letters = self.gens + self.center
         self.mats = {g: tuple(tuple(Fraction(x) for x in row) for row in mats[g])
                      for g in self.gens}
-        self.matdim = matdim
         self.ngens = len(self.gens)
-        self.nletters = len(self.letters)
-        self.index = {s: i for i, s in enumerate(self.letters)}
+        self.index = {s: i for i, s in enumerate(self.gens + self.center)}
         self.bracket_table = self._compute_brackets()
-        self._nf_cache = {}
+        one = (0,) * self.ngens
+        self._units = tuple(one[:i] + (1,) + one[i + 1:] for i in range(self.ngens))
+        self._nf_cache = {(): {one: 1}}
         self._mono_cache = {}
 
     @property
@@ -66,8 +63,8 @@ class AlgebraSpec:
     def _expand_in_gens(self, mat):
         # mat = sum_g x_g mats[g] exactly when the columns (mats[g] | mat)
         # have a kernel vector (-x, 1); it is the last one, if there is one
-        cols = [_flatten(self.mats[g]) for g in self.gens]
-        target = _flatten(mat)
+        cols = [[x for row in self.mats[g] for x in row] for g in self.gens]
+        target = [x for row in mat for x in row]
         ech = RatEchelon(len(cols) + 1)
         for i, t in enumerate(target):
             ech.add([col[i] for col in cols] + [t])
@@ -88,7 +85,9 @@ class AlgebraSpec:
                 comm = _mat_sub(_mat_mul(self.mats[a], self.mats[b]),
                                 _mat_mul(self.mats[b], self.mats[a]))
                 coords = self._expand_in_gens(comm)
-                table[(i, j)] = tuple((k, c) for k, c in enumerate(coords) if c)
+                table[(i, j)] = tuple(
+                    (k, c.numerator if c.denominator == 1 else c)
+                    for k, c in enumerate(coords) if c)
         return table
 
     # -- elements ----------------------------------------------------------
@@ -122,66 +121,58 @@ class AlgebraSpec:
         exps[self.index[name]] = power
         return self.pbw_mono(exps)
 
-    # -- rewriting engine --------------------------------------------------
+    # -- normal form engine -------------------------------------------------
 
-    def _word_nf(self, word, _steps=0, _limit=None):
-        """Normal form of one word: dict full-letter exponents -> coefficient.
+    def _mono_gen(self, m, g):
+        """Ordered monomial m times generator g: dict exponents -> coefficient;
+        p g for the prefixes p of m is cached from the shortest p up."""
+        if not any(m[g + 1:]):
+            return {m[:g] + (m[g] + 1,) + m[g + 1:]: 1}
+        cache, unit = self._mono_cache, self._units[g]
+        chain = []
+        while any(m[g + 1:]) and (m, unit) not in cache:
+            h = max(i for i, e in enumerate(m) if e)
+            chain.append((m, h))
+            m = m[:h] + (m[h] - 1,) + m[h + 1:]
+        prod = cache[(m, unit)] if (m, unit) in cache else self._mono_gen(m, g)
+        for p, h in reversed(chain):
+            # p g = (m g) x_h + m [x_h, g], where p = m x_h
+            out = {}
+            for n, c in prod.items():
+                _add_scaled(out, self._mono_gen(n, h), c)
+            for k, b in self.bracket_table[(h, g)]:
+                _add_scaled(out, self._mono_gen(m, k), b)
+            cache[(p, unit)] = prod = out
+            m = p
+        return prod
 
-        Rewrites the leftmost out-of-order adjacent pair; the swap branch
-        continues the current chain, the bracket branch starts a fresh one.
-        Results are memoized per word, so shared intermediates of different
-        derivation paths are computed once.
-        """
-        hit = self._nf_cache.get(word)
-        if hit is not None:
-            return hit
-        spot = -1
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                spot = i
-                break
-        if spot < 0:
-            exps = [0] * self.nletters
-            for a in word:
-                exps[a] += 1
-            out = {tuple(exps): Fraction(1)}
-            self._nf_cache[word] = out
-            return out
-        if _limit is None:
-            _limit = max(64, len(word) ** 3)
-        _steps += 1
-        assert _steps <= _limit, "rewriting chain exceeded its cubic step bound"
-        a, b = word[spot], word[spot + 1]
-        out = dict(self._word_nf(word[:spot] + (b, a) + word[spot + 2:],
-                                 _steps, _limit))
-        for k, c in self.bracket_table.get((a, b), ()):
-            nw = word[:spot] + (k,) + word[spot + 2:]
-            for e, c2 in self._word_nf(nw).items():
-                acc = out.get(e, Fraction(0)) + c * c2
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
-        self._nf_cache[word] = out
-        return out
+    def _word_nf(self, word):
+        """Normal form of a generator word: its longest cached prefix times
+        the remaining letters one at a time.  Prefixes are cached where a run
+        of one letter ends, so a power adds one key, not one per letter."""
+        cache = self._nf_cache
+        k = len(word)
+        while word[:k] not in cache:
+            k -= 1
+        nf = cache[word[:k]]
+        for k in range(k, len(word)):
+            out = {}
+            for m, c in nf.items():
+                _add_scaled(out, self._mono_gen(m, word[k]), c)
+            nf = out
+            if word[k + 1:k + 2] != word[k:k + 1]:
+                cache[word[:k + 1]] = nf
+        return nf
 
     def mono_mul(self, ea, eb):
-        """Product of two ordered generator monomials: dict gen exps -> coeff."""
+        """Product of two ordered generator monomials, the normal form of
+        their concatenated words: dict gen exps -> coeff."""
         hit = self._mono_cache.get((ea, eb))
-        if hit is not None:
-            return hit
-        word = []
-        for i, e in enumerate(ea):
-            word.extend([i] * e)
-        for i, e in enumerate(eb):
-            word.extend([i] * e)
-        raw = self._word_nf(tuple(word))
-        out = {}
-        for full, c in raw.items():
-            assert not any(full[self.ngens:]), "center letter leaked into a product"
-            out[full[:self.ngens]] = c
-        self._mono_cache[(ea, eb)] = out
-        return out
+        if hit is None:
+            n = self.ngens
+            word = tuple(i % n for i, e in enumerate(ea + eb) for _ in range(e))
+            hit = self._mono_cache[(ea, eb)] = self._word_nf(word)
+        return hit
 
     def __repr__(self):
         return f"AlgebraSpec({self.name})"
@@ -305,25 +296,34 @@ class PBWElement:
         return f"PBWElement({self.algebra.name}, {self.terms!r})"
 
 
-def pbw_normal_form(e, A=None):
-    """PBW normal form of a free element; center letters become coefficients."""
-    A = A or e.algebra
-    assert A is e.algebra
-    out = {}
-    arity = A.center_arity
+def _add_scaled(out, terms, s):
+    for e, c in terms.items():
+        if v := out.get(e, 0) + s * c:
+            out[e] = v
+        else:
+            del out[e]
+
+
+def pbw_normal_form(e):
+    """PBW normal form of a free element; center letters, which commute with
+    everything, become coefficients."""
+    A = e.algebra
+    n = A.ngens
+    terms = {}
     for word, coeff in e.terms.items():
-        for full, c in A._word_nf(word).items():
-            gexps = full[:A.ngens]
-            cexps = full[A.ngens:]
-            p = CenterPoly(arity, {cexps: coeff * c})
-            out[gexps] = out[gexps] + p if gexps in out else p
-    return PBWElement(A, out)
+        gword = tuple(a for a in word if a < n)
+        cexps = tuple(word.count(n + i) for i in range(A.center_arity))
+        for gexps, c in A._word_nf(gword).items():
+            t = terms.setdefault(gexps, {})
+            t[cexps] = t.get(cexps, 0) + coeff * c
+    return PBWElement(A, {g: CenterPoly(A.center_arity, t)
+                          for g, t in terms.items()})
 
 
-def pbw_mul(a, b, A=None):
+def pbw_mul(a, b):
     """Product of two PBW elements, again in PBW normal form."""
-    A = A or a.algebra
-    assert A is a.algebra and A is b.algebra
+    A = a.algebra
+    assert A is b.algebra
     out = {}
     for ea, pa in a.terms.items():
         for eb, pb in b.terms.items():
@@ -350,7 +350,7 @@ def sl2():
         "Y": ((0, 0), (1, 0)),
         "H": ((1, 0), (0, -1)),
     }
-    return AlgebraSpec("sl2", ("X", "Y", "H"), ("C",), mats, 2)
+    return AlgebraSpec("sl2", ("X", "Y", "H"), ("C",), mats)
 
 
 def _e3(i, j):
@@ -371,7 +371,7 @@ def sl3():
         "H2": _mat_sub(_e3(1, 1), _e3(2, 2)),
     }
     gens = ("Y1", "Y2", "Y3", "X1", "X2", "X3", "H1", "H2")
-    return AlgebraSpec("sl3", gens, ("Z2", "Z3"), mats, 3)
+    return AlgebraSpec("sl3", gens, ("Z2", "Z3"), mats)
 
 
 def get_algebra(name):

@@ -60,7 +60,7 @@ def casimir_elements(name):
         }
     out = {}
     for sym, e in free.items():
-        z = pbw_normal_form(e, A)
+        z = pbw_normal_form(e)
         for g in A.gens:
             ge = A.pbw_gen(g)
             assert (pbw_mul(z, ge) - pbw_mul(ge, z)).is_zero(), \
@@ -138,6 +138,18 @@ def _is_constrained(A, exps):
     if A.name == "sl2":
         return not (exps[0] and exps[1])
     return not (exps[1] and exps[4]) and exps[7] <= 2
+
+
+def sl2_constrained_monos(d):
+    """The sl2 constrained monomials X^a H^c and Y^b H^c of degree <= d, by
+    degree, then H exponent, X before Y."""
+    out = []
+    for s in range(d + 1):
+        for c in range(s + 1):
+            out.append((s - c, 0, c))
+            if s > c:
+                out.append((0, s - c, c))
+    return out
 
 
 def decompose(p, max_steps=10 ** 6):

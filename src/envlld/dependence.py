@@ -25,7 +25,7 @@ from math import gcd, isqrt, lcm
 import random
 
 from .algebra import PBWElement, get_algebra, sl2, sl3
-from .center import decompose, verify_identity
+from .center import decompose, sl2_constrained_monos, verify_identity
 from .centerpoly import CenterPoly, grlex_key, poly_eval
 from .linalg import (CertificateError, PolyMatrix, RatEchelon, ff_rank_kernel,
                      solve_fraction_field)
@@ -305,17 +305,12 @@ def witness_independence(ps, max_shift=50):
             continue
         R = sl2_irrep(n)
         if d > 0:
+            shapes = sl2_constrained_monos(d)
+            assert len(shapes) == (d + 1) ** 2
             ech = RatEchelon(n)
-            full = 0
-            for s in range(d + 1):
-                for c in range(s + 1):
-                    rest = s - c
-                    shapes = [(rest, 0, c)] if rest == 0 else [(rest, 0, c), (0, rest, c)]
-                    for e in shapes:
-                        full += 1
-                        ech.add(apply_to_vector(A.pbw_mono(e), R, vec))
-            assert full == (d + 1) ** 2
-            if ech.rank < full:
+            for e in shapes:
+                ech.add(apply_to_vector(A.pbw_mono(e), R, vec))
+            if ech.rank < len(shapes):
                 continue
         final = RatEchelon(n)
         for p in ps:
@@ -361,7 +356,7 @@ def trace_pairing_complement(mats, dim):
             for v in ech.kernel()]
 
 
-def duality_check(q, ps, rep, center_point=None):
+def duality_check(q, ps, rep):
     """Span membership versus annihilation by the trace-orthogonal complement.
 
     The two sides agree for any finite family; the report carries both bits
@@ -369,8 +364,8 @@ def duality_check(q, ps, rep, center_point=None):
     """
     A = _check_family(ps)
     R = resolve_rep(rep, A)
-    pmats = [eval_element(p, R, center_point) for p in ps]
-    qmat = eval_element(q, R, center_point)
+    pmats = [eval_element(p, R) for p in ps]
+    qmat = eval_element(q, R)
     ech = RatEchelon(R.dim * R.dim)
     for M in pmats:
         ech.add(_flat(M))

@@ -40,17 +40,6 @@ class PolyMatrix:
         self.cols = cols
         self.entries = entries
 
-    @classmethod
-    def from_rows(cls, arity, rows, cols=None):
-        rows = [list(r) for r in rows]
-        if cols is None:
-            assert rows, "column count is ambiguous for an empty matrix"
-            cols = len(rows[0])
-        return cls(arity, len(rows), cols, rows)
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, arity={self.arity})"
 

@@ -12,7 +12,7 @@ Juxtaposition multiplies, so "CX^2" reads as C * X^2 and keeps the
 noncommutative factor order.  Symbols are the generators of the selected
 algebra together with its center variables, plus I for the unit.  The
 optional leading sign is a small extension so "-X" is typable without a
-zero term in front.
+zero term in front.  Parentheses nest at most MAX_NESTING deep.
 
 Printing goes the other way.  format_expr emits text whose parse
 reproduces the element exactly, with PBW monomials in graded order and
@@ -36,6 +36,9 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
 
+
+# the parser recurses four frames per parenthesis level
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z]\d*)|(?P<op>[-+*^()/])")
 
@@ -61,6 +64,7 @@ class _Parser:
     def __init__(self, toks, algebra):
         self.toks = toks
         self.i = 0
+        self.depth = 0
         self.A = algebra
 
     def peek(self):
@@ -136,7 +140,12 @@ class _Parser:
                 return self.A.free_word(val)
             raise ParseError(f"unknown symbol {val!r} for {self.A.name}", pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep", pos)
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             kind2, val2, pos2 = self.take()
             if not (kind2 == "op" and val2 == ")"):
                 raise ParseError("expected ')'", pos2)

@@ -14,9 +14,8 @@ module caches its monomial images.  Dense tuples of Fractions appear only at
 the boundary (matrix, mono_matrix, eval_element).
 
 Center coefficients of a PBW element are evaluated at the representation's
-center point (its Casimir scalars) unless an explicit point is passed; asking
-for a center value on a representation that has none is an error, not a
-silent zero.
+center point (its Casimir scalars); asking for a center value on a
+representation that has none is an error, not a silent zero.
 """
 
 from __future__ import annotations
@@ -185,29 +184,28 @@ class RepMatrices:
         return f"RepMatrices({self.label}, dim={self.dim})"
 
 
-def _coeff_value(p, R, center_point):
+def _coeff_value(p, R):
     if p.is_const():
         return p.const_value()
-    point = center_point if center_point is not None else R.center_point
-    if point is None:
+    if R.center_point is None:
         raise ValueError(
             f"{R.label} has no center point; cannot evaluate center coefficients")
-    return poly_eval(p, point)
+    return poly_eval(p, R.center_point)
 
 
-def _nonzero_terms(elem, R, center_point):
+def _nonzero_terms(elem, R):
     assert isinstance(elem, PBWElement) and elem.algebra is R.algebra
     for exps, p in elem.terms.items():
-        c = _coeff_value(p, R, center_point)
+        c = _coeff_value(p, R)
         if c:
             yield c, exps
 
 
-def _columns(elem, R, center_point):
+def _columns(elem, R):
     """R(elem) one source column {dst: coeff} at a time, from the sparse
     monomial images."""
     terms = [(c, R.mono_image(exps))
-             for c, exps in _nonzero_terms(elem, R, center_point)]
+             for c, exps in _nonzero_terms(elem, R)]
     for src in range(R.dim):
         col = {}
         for c, img in terms:
@@ -216,24 +214,24 @@ def _columns(elem, R, center_point):
         yield col.items()
 
 
-def eval_element(elem, R, center_point=None):
+def eval_element(elem, R):
     """Exact matrix of a PBW element under R, as a tuple of Fraction rows."""
-    return _dense(R.dim, _columns(elem, R, center_point))
+    return _dense(R.dim, _columns(elem, R))
 
 
 def acts_as_zero(elem, R):
     """True when R(elem) is the zero operator, decided column by column with
     no dense matrix."""
-    return not any(x for col in _columns(elem, R, None) for _, x in col)
+    return not any(x for col in _columns(elem, R) for _, x in col)
 
 
-def apply_to_vector(elem, R, vec, center_point=None):
+def apply_to_vector(elem, R, vec):
     """R(elem) applied to a vector, as a list of Fractions, from the cached
     monomial images of R."""
     assert len(vec) == R.dim
     support = [(s, _num(x)) for s, x in enumerate(vec) if x]
     out = [_ZERO] * R.dim
-    for c, exps in _nonzero_terms(elem, R, center_point):
+    for c, exps in _nonzero_terms(elem, R):
         img = R.mono_image(exps)
         for s, x in support:
             cx = c * x

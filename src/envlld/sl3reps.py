@@ -31,22 +31,6 @@ from .linalg import CertificateError, RatEchelon
 from .reps import RepMatrices, d2_scalar, d3_scalar, mono_exps
 
 
-class WeightPair(tuple):
-    """Dominant integral sl3 weight (m1, m2)."""
-
-    def __new__(cls, m1, m2):
-        assert m1 >= 0 and m2 >= 0
-        return super().__new__(cls, (int(m1), int(m2)))
-
-    @property
-    def m1(self):
-        return self[0]
-
-    @property
-    def m2(self):
-        return self[1]
-
-
 def classical_dim(m1, m2):
     # Weyl dimension count; used as a guard heuristic and a test oracle only,
     # never as an input to the construction itself

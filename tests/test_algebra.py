@@ -6,7 +6,13 @@ structural properties (antisymmetry, Jacobi, the homomorphism law for the
 normal form) on top.
 """
 
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +21,9 @@ from hypothesis import strategies as st
 from envlld.algebra import (PBWElement, bracket, get_algebra, pbw_mul,
                             pbw_normal_form, sl2, sl3)
 from envlld.centerpoly import CenterPoly
+from envlld.parser import format_expr
 from envlld.reps import eval_element, mat_mul, sl2_irrep
+from envlld.sl3reps import sl3_irrep
 
 
 def test_algebra_shapes():
@@ -149,22 +157,75 @@ def test_normal_form_is_multiplicative_sl3(e1, e2):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("name,rep,max_len", [
+    pytest.param("sl2", 4, 3, id="sl2-rho_4-len3"),
+    pytest.param("sl2", 4, 8, id="sl2-rho_4-len8"),
+    pytest.param("sl3", (1, 1), 8, id="sl3-pi_1_1-len8"),
+])
 @settings(max_examples=25, deadline=None)
-@given(free_elements(sl2(), ("X", "Y", "H")))
-def test_normal_form_preserves_the_action(e):
+@given(data=st.data())
+def test_normal_form_preserves_the_action(name, rep, max_len, data):
     # rewriting must not change the operator the word products define
-    R = sl2_irrep(4)
-    direct = [[Fraction(0)] * 4 for _ in range(4)]
+    A = get_algebra(name)
+    R = sl2_irrep(rep) if name == "sl2" else sl3_irrep(rep)
+    e = data.draw(free_elements(A, A.gens, max_len=max_len))
+    n = R.dim
+    direct = [[Fraction(0)] * n for _ in range(n)]
     for word, c in e.terms.items():
-        m = [[Fraction(1 if i == j else 0) for j in range(4)]
-             for i in range(4)]
+        m = [[Fraction(1 if i == j else 0) for j in range(n)]
+             for i in range(n)]
         for idx in word:
-            m = mat_mul(m, R.matrix(sl2().gens[idx]))
-        for i in range(4):
-            for j in range(4):
+            m = mat_mul(m, R.matrix(A.gens[idx]))
+        for i in range(n):
+            for j in range(n):
                 direct[i][j] += c * m[i][j]
     assert eval_element(pbw_normal_form(e), R) == \
         tuple(tuple(row) for row in direct)
+
+
+def _h_power_times_x(n):
+    # H X = X (H + 2), so H^n X = X (H + 2)^n
+    A = sl2()
+    return sum((A.pbw_mono((1, 0, j)).scale(comb(n, j) * 2 ** (n - j))
+                for j in range(n + 1)), A.pbw_zero())
+
+
+def test_closed_form_of_a_high_power():
+    A = sl2()
+    assert pbw_normal_form(A.free_word(*("H",) * 300, "X")) == \
+        _h_power_times_x(300)
+
+
+_SHALLOW = """
+import sys
+sys.setrecursionlimit(200)
+from envlld.algebra import pbw_normal_form, sl2
+from envlld.parser import format_expr
+print(format_expr(pbw_normal_form(sl2().free_word(*("H",) * 300, "X"))))
+"""
+
+
+def test_recursion_depth_does_not_grow_with_the_degree():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", _SHALLOW], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == format_expr(_h_power_times_x(300)) + "\n"
+
+
+def test_deep_word_matches_the_module_action():
+    # Y^20 X^20 against the product of the generator matrices at rho_21
+    A = sl2()
+    R = sl2_irrep(21)
+    start = time.perf_counter()
+    nf = pbw_normal_form(A.free_word(*("Y",) * 20, *("X",) * 20))
+    m = R.matrix("Y")
+    for g in ("Y",) * 19 + ("X",) * 20:
+        m = mat_mul(m, R.matrix(g))
+    assert eval_element(nf, R) == m
+    assert time.perf_counter() - start < 5.0
 
 
 def test_pbw_element_algebra():

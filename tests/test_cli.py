@@ -5,6 +5,7 @@ import json
 import pytest
 
 from envlld.cli import main
+from envlld.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -128,6 +129,23 @@ def test_usage_errors(capsys, argv, fragment):
     assert out == ""
     assert err.startswith("error: ")
     assert fragment in err
+
+
+def test_nf_of_a_deep_word(capsys):
+    code, out, err = run(capsys, "nf", "Y^30 X^30")
+    assert (code, err) == (0, "")
+    assert out.startswith("X^30*Y^30 - 900*X^29*Y^29*H + ")
+
+
+def test_nesting_limit(capsys):
+    deepest = "(" * MAX_NESTING + "X" + ")" * MAX_NESTING
+    code, out, err = run(capsys, "nf", deepest)
+    assert (code, out, err) == (0, "X\n", "")
+    for depth in (MAX_NESTING + 1, 400):
+        code, out, err = run(capsys, "nf", "(" * depth + "X" + ")" * depth)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: parentheses nested more than "
+                              f"{MAX_NESTING} deep (at position {MAX_NESTING})")
 
 
 def test_argparse_failures_exit_2(capsys):

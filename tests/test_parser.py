@@ -15,7 +15,7 @@ CVAR = CenterPoly.variable(1)
 
 
 def _nf(text, A):
-    return pbw_normal_form(parse_expr(text, A), A)
+    return pbw_normal_form(parse_expr(text, A))
 
 
 def test_parse_simple_words():
