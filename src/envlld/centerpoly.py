@@ -1,11 +1,12 @@
 """Exact scalars: polynomials over the centers Q[C] and Q[Z2, Z3].
 
-Every coefficient in the package is a fractions.Fraction; a center polynomial
-is a sparse dict mapping exponent tuples to nonzero rationals.  Arity 1 is the
-sl2 center (one symbol C), arity 2 the sl3 center (Z2, Z3).  The term order is
-graded lex with Z2 ranked above Z3; "leading coefficient" always refers to this
-order, and it fixes the sign conventions used by kernel and certificate
-normalization downstream.
+A center polynomial is a sparse dict mapping exponent tuples to nonzero
+fractions.Fraction coefficients; the algebra engine and the module actions
+keep int coefficients where they can.  Arity 1 is the sl2 center (one symbol
+C), arity 2 the sl3 center (Z2, Z3).  The term order is graded lex with Z2
+ranked above Z3; "leading coefficient" always refers to this order, and it
+fixes the sign conventions used by kernel and certificate normalization
+downstream.
 """
 
 from __future__ import annotations
@@ -187,128 +188,85 @@ def zprimitive_scale(p):
 
 
 # ---------------------------------------------------------------------------
-# gcd of center polynomials.  Univariate: Euclid over Q[C].  Bivariate:
-# primitive polynomial remainder sequence with Z2 as the main variable and
-# univariate contents in Z3.  Results are scaled to integer-primitive form
-# with positive leading coefficient, so gcd output is canonical.
+# gcd of center polynomials: one primitive polynomial remainder sequence
+# (Brown 1971), recursive over the symbols.  In symbol v a polynomial is its
+# content (the gcd at v + 1 of its coefficients in v; a rational unit in the
+# last symbol) times a primitive part.  The gcd is the gcd of the contents
+# times the last nonconstant remainder of the primitive parts, each remainder
+# made primitive again so that coefficients stay small.
+#
+# A bivariate gcd first tries to prove that it is free of Z2.  Fix Z3 where the
+# Z2-leading coefficient of a does not vanish (b, primitive in Z2, is not
+# identically 0 there): a gcd of Z2-degree k specializes to a common divisor of
+# Z2-degree k, so a constant gcd of the specializations proves k = 0, and the
+# gcd is the gcd of the contents.  The common case, a kernel vector without
+# content, so needs no bivariate remainder sequence.
 
-def _uni_divmod(a, b):
-    # dense-free dicts {exp: Fraction}; b nonzero
-    q = {}
-    r = dict(a)
-    db = max(b)
-    lb = b[db]
-    while r and max(r) >= db:
-        dr = max(r)
-        c = r[dr] / lb
-        q[dr - db] = q.get(dr - db, Fraction(0)) + c
-        for e, bc in b.items():
-            ne = dr - db + e
-            nv = r.get(ne, Fraction(0)) - c * bc
-            if nv:
-                r[ne] = nv
-            else:
-                r.pop(ne, None)
-    return q, r
+def _coeffs(p, v):
+    """p as a polynomial in symbol v: {degree: coefficient free of symbol v}."""
+    split = {}
+    for e, c in p.terms.items():
+        split.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return {d: CenterPoly(p.arity, t) for d, t in split.items()}
 
 
-def _uni_gcd(a, b):
-    while b:
-        _, a, b = None, b, _uni_divmod(a, b)[1]
+def _deg(p, v):
+    return max(e[v] for e in p.terms)
+
+
+def _content_split(p, v):
+    """(content, primitive part with coprime integer coefficients) of p in v."""
+    if v == p.arity - 1:
+        return CenterPoly.const(p.arity, 1), p * zprimitive_scale(p)
+    cont = None
+    for c in _coeffs(p, v).values():
+        cont = c if cont is None else _gcd(cont, c, v + 1)
+    prim = divexact(p, cont)
+    return cont, prim * zprimitive_scale(prim)
+
+
+def _prem(a, b, v):
+    """A pseudo-remainder of a by b in symbol v, of lower v-degree than b."""
+    db = _deg(b, v)
+    lb = _coeffs(b, v)[db]
+    while not a.is_zero() and _deg(a, v) >= db:
+        da = _deg(a, v)
+        shift = _coeffs(a, v)[da] * CenterPoly.variable(a.arity, v) ** (da - db)
+        a = a * lb - b * shift
     return a
 
 
-def _uni_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            nv = out.get(e, Fraction(0)) + ca * cb
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
-    return out
+def _z2_free(a, b):
+    """True when specialization proves that gcd(a, b) has Z2-degree 0."""
+    for z3 in (2, 3, 5, 7, 11):
+        a1, b1 = (CenterPoly(1, {(d,): poly_eval(c, (0, z3)) for d, c
+                                 in _coeffs(p, 0).items()}) for p in (a, b))
+        if a1.degree() == _deg(a, 0):
+            return _gcd(a1, b1, 0).is_const()
+    return False
 
 
-def _uni_sub(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        nv = out.get(e, Fraction(0)) - c
-        if nv:
-            out[e] = nv
-        else:
-            out.pop(e, None)
-    return out
+def _gcd(a, b, v):
+    """A gcd of the nonzero a and b, which involve no symbol before v."""
+    ca, a = _content_split(a, v)
+    cb, b = _content_split(b, v)
+    cont = _gcd(ca, cb, v + 1) if v + 1 < a.arity else ca
+    if a.arity == 2 and v == 0 and _z2_free(a, b):
+        return cont
+    if _deg(a, v) < _deg(b, v):
+        a, b = b, a
+    while _deg(b, v) > 0:
+        r = _prem(a, b, v)
+        if r.is_zero():
+            return b * cont
+        a, b = b, _content_split(r, v)[1]
+    return cont
 
 
-def _biv_split(p):
-    # {(e2, e3): c} -> {e2: {e3: c}}
-    rec = {}
-    for (e2, e3), c in p.terms.items():
-        rec.setdefault(e2, {})[e3] = c
-    return rec
-
-
-def _biv_join(rec, arity=2):
-    terms = {}
-    for e2, u in rec.items():
-        for e3, c in u.items():
-            terms[(e2, e3)] = c
-    return CenterPoly(arity, terms)
-
-
-def _biv_cont(rec):
-    # univariate content in Z3 of a bivariate poly written by Z2 exponent
-    g = {}
-    for u in rec.values():
-        g = _uni_gcd(g, u) if g else dict(u)
-    return g
-
-
-def _biv_primitive(rec):
-    cont = _biv_cont(rec)
-    out = {}
-    for e2, u in rec.items():
-        q, r = _uni_divmod(u, cont)
-        assert not r
-        out[e2] = q
-    return out, cont
-
-
-def _biv_prem(A, B):
-    # pseudo-remainder in the main variable; degree in Z2 strictly drops
-    dB = max(B)
-    lB = B[dB]
-    R = {e: dict(u) for e, u in A.items()}
-    while R and max(R) >= dB:
-        dR = max(R)
-        lR = R[dR]
-        nxt = {}
-        for e, u in R.items():
-            if e != dR:
-                nxt[e] = _uni_mul(u, lB)
-        for e, u in B.items():
-            if e != dB:
-                at = e + dR - dB
-                nxt[at] = _uni_sub(nxt.get(at, {}), _uni_mul(u, lR))
-        R = {e: u for e, u in nxt.items() if u}
-    return R
-
-
-def _biv_gcd(a, b):
-    A, ca = _biv_primitive(_biv_split(a))
-    B, cb = _biv_primitive(_biv_split(b))
-    if max(A) < max(B):
-        A, B = B, A
-    while True:
-        R = _biv_prem(A, B)
-        if not R:
-            break
-        A, B = B, _biv_primitive(R)[0]
-    cont = _uni_gcd(ca, cb)
-    rec = {e2: _uni_mul(u, cont) for e2, u in B.items()}
-    return _biv_join(rec)
+def _unit(p):
+    """The rational lam with lam*p integer-primitive and leading term positive."""
+    lam = zprimitive_scale(p)
+    return -lam if p.leading()[1] < 0 else lam
 
 
 def poly_gcd(a, b):
@@ -318,16 +276,9 @@ def poly_gcd(a, b):
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero() or b.is_zero():
         g = b if a.is_zero() else a
-    elif a.arity == 1:
-        g = CenterPoly(1, {(e,): c for e, c in _uni_gcd(
-            {e[0]: c for e, c in a.terms.items()},
-            {e[0]: c for e, c in b.terms.items()}).items()})
     else:
-        g = _biv_gcd(a, b)
-    lam = zprimitive_scale(g)
-    if g.leading()[1] < 0:
-        lam = -lam
-    return g * lam
+        g = _gcd(a, b, 0)
+    return g * _unit(g)
 
 
 def gcd_many(polys):
@@ -339,10 +290,7 @@ def gcd_many(polys):
         if g.is_const():
             break
         g = poly_gcd(g, p)
-    lam = zprimitive_scale(g)
-    if g.leading()[1] < 0:
-        lam = -lam
-    return g * lam
+    return g * _unit(g)
 
 
 def content_normalize(vs):
@@ -355,8 +303,5 @@ def content_normalize(vs):
     vs = list(vs)
     g = gcd_many(vs)
     out = [v if v.is_zero() else divexact(v, g) for v in vs]
-    first = next(v for v in out if not v.is_zero())
-    lam = zprimitive_scale(first)
-    if first.leading()[1] < 0:
-        lam = -lam
+    lam = _unit(next(v for v in out if not v.is_zero()))
     return tuple(v * lam for v in out)

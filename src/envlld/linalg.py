@@ -2,11 +2,14 @@
 
 Matrices of center polynomials go through one-step Bareiss elimination, which
 keeps every intermediate entry polynomial: the update
-(piv*a_ij - c_i*a_kj) / prev_pivot divides exactly at each step, which is
-asserted rather than assumed.  A single pass yields the rank, the pivot
-columns (tracked through a virtual column permutation, no data is moved), and
-a content-normalized kernel basis.  Pivots are chosen by lowest total degree
-with deterministic ties, so results are reproducible across runs.
+(piv*a_ij - c_i*a_kj) / prev_pivot divides exactly at each step, and divexact
+raises ValueError if it does not.  A single pass yields the rank and the pivot
+columns (tracked through a virtual column permutation, no data is moved).
+Pivots are chosen by lowest total degree with deterministic ties, so results
+are reproducible across runs.  Each kernel vector puts the last pivot at its
+free column and 0 at the other free columns; by Cramer's rule its entries are
+then r x r minors of M, so back-substitution divides exactly by each pivot.
+The vector is then content-normalized.
 
 Everything over Q goes through one routine, RatEchelon: an incremental
 reduced row echelon form that answers rank, span membership and null space.
@@ -95,27 +98,20 @@ def ff_rank_kernel(M):
         r += 1
     rank = r
 
-    free_cols = [j for j in range(ncols) if j not in pivot_cols]
-    basis = []
     zero = CenterPoly.zero(arity)
-    for f in free_cols:
-        v = [None] * ncols
-        for j in free_cols:
-            v[j] = CenterPoly.const(arity, 1) if j == f else zero
-        # back-substitute bottom-up; row t is zero at pivot columns of rows < t,
-        # so unset positions never contribute
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [zero] * ncols
+        v[f] = prev
         for t in range(rank - 1, -1, -1):
             row = rows[t]
-            pcol = pivot_cols[t]
-            a = row[pcol]
             acc = zero
-            for j in range(ncols):
-                if j != pcol and v[j] is not None and not row[j].is_zero():
-                    acc = acc + row[j] * v[j]
-            for j in range(ncols):
-                if v[j] is not None:
-                    v[j] = v[j] * a
-            v[pcol] = -acc
+            for a, b in zip(row, v):
+                if not a.is_zero() and not b.is_zero():
+                    acc = acc + a * b
+            v[pivot_cols[t]] = divexact(-acc, row[pivot_cols[t]])
         basis.append(content_normalize(v))
     return EliminationResult(rank, tuple(basis), tuple(pivot_cols))
 

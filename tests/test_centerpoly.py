@@ -116,12 +116,26 @@ def test_gcd_canonical_form():
     assert poly_gcd(CenterPoly.zero(1), two_c) == C1({(1,): 1})
 
 
-def test_gcd_bivariate():
-    common = U + V
-    a = common * (U - CenterPoly.const(2, 1))
-    b = common * V
-    assert poly_gcd(a, b) == common
-    assert gcd_many([a, b, common * common]) == common
+def K(c):
+    return CenterPoly.const(2, c)
+
+
+@pytest.mark.parametrize("a, b, g", [
+    pytest.param((U + V) * (U - K(1)), (U + V) * V, U + V,
+                 id="common-factor"),
+    # the Z2-leading coefficient of a vanishes at Z3 = 2 and Z3 = 3
+    pytest.param((V - K(2)) * (V - K(3)) * U + K(1), U + V, K(1),
+                 id="leading-coefficient-vanishes"),
+    # at Z3 = 2 both share Z2 - 2, so the remainder sequence must decide
+    pytest.param(U - V, U - K(2), K(1), id="unlucky-point"),
+    pytest.param((V + K(1)) * U, (V + K(1)) * (U + K(1)), V + K(1),
+                 id="content-only"),
+    pytest.param((U + V) * (V + K(1)) * U, (U + V) * (V + K(1)) * (V - K(1)),
+                 (U + V) * (V + K(1)), id="content-and-remainders"),
+])
+def test_gcd_bivariate(a, b, g):
+    assert poly_gcd(a, b) == g
+    assert gcd_many([a, b, g * g]) == g
 
 
 @settings(max_examples=30, deadline=None)

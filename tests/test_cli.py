@@ -1,6 +1,10 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,24 @@ def test_decide_scalar_modes(capsys):
     code, out, _ = run(capsys, "decide", "center", "I", "2XY + 1/2H^2 - H")
     assert code == 0
     assert out.splitlines() == ["dependent", "certificate: (C, -1)"]
+
+
+def test_decide_center_sl3_kernel_in_bounded_time():
+    # the certificate is read off a kernel over Q[Z2, Z3]; a subprocess, so
+    # that a gcd that does not end fails on the timeout
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([
+        sys.executable, "-m", "envlld.cli", "decide", "center",
+        "--algebra", "sl3", "--",
+        "(2 + 7Z2^2) X1 + 8Z3 H1 + (13Z3 + 8/5) X1 Y1",
+        "(4Z2^2 Z3 + Z2 Z3 + 1/4 Z2^2) X1 + (8Z3 + Z2^2) H1 + 2Z2^2 X1 Y1",
+        "3Z2^2 X1 + (7/5 Z2 Z3 + 5Z2 + 5) H1 + (15Z3 + 9Z2 Z3) X1 Y1",
+        "(7/2 Z3 + 7Z2) X1 + Z2^2 H1 + (8/5 Z3 + 2Z2^2 + 4) X1 Y1",
+    ], env=env, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == "dependent"
 
 
 def test_decide_loc_text(capsys):

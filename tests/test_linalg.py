@@ -1,7 +1,11 @@
 """Fraction-free elimination, kernels, and the rational echelon."""
 
-from fractions import Fraction
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -69,6 +73,89 @@ def test_kernel_vectors_annihilate(M):
             for j in range(M.cols):
                 acc = acc + M.entries[i][j] * v[j]
             assert acc.is_zero()
+
+
+# 3x4 matrices over Q[Z2, Z3] that test_kernel_vectors_annihilate draws under
+# hypothesis seeds 8, 15, 16, 19 and 45; their kernel vectors need bivariate
+# gcds of entries of degree up to 10
+_HANG_MATRICES = [[[{(0, 0): '-2/3', (2, 2): '5/3'},
+                    {(0, 1): '-2', (1, 0): '-1', (2, 2): '-14/3'},
+                    {(1, 1): '11/2', (2, 0): '-3/4', (2, 2): '16/3'},
+                    {(1, 1): '5', (2, 2): '2/3'}],
+                   [{(0, 0): '19/4', (0, 2): '5/3', (2, 0): '4'},
+                    {(0, 2): '-5/2', (2, 1): '5', (2, 2): '2'},
+                    {(0, 0): '13/4'}, {(1, 2): '1/3', (2, 2): '5'}],
+                   [{}, {(0, 1): '1', (0, 2): '3', (2, 2): '2/3'},
+                    {(0, 1): '-3', (1, 2): '3', (2, 1): '-3'},
+                    {(0, 1): '-5', (1, 0): '17/3'}]],
+                  [[{(1, 1): '6'}, {(0, 0): '23/4', (1, 0): '-17/4'},
+                    {(1, 0): '6'},
+                    {(0, 0): '1', (0, 2): '2', (1, 0): '-3/2'}],
+                   [{}, {(0, 1): '-5', (2, 1): '-4'},
+                    {(0, 0): '5', (0, 2): '-6'}, {(2, 0): '21/4'}],
+                   [{(0, 2): '3/2', (1, 0): '11/2', (1, 1): '-8/3'}, {},
+                    {(0, 1): '-4', (1, 0): '-1/2', (1, 2): '3/2'},
+                    {(1, 2): '3'}]],
+                  [[{}, {(0, 0): '-3', (0, 1): '-13/3', (1, 0): '-7/4'},
+                    {(0, 0): '-6', (2, 1): '3'},
+                    {(0, 1): '-3', (2, 1): '-6'}],
+                   [{(0, 0): '3/2', (2, 0): '-21/4'},
+                    {(1, 0): '13/3', (1, 1): '5/4'}, {(0, 2): '5/2'},
+                    {(0, 2): '-11/2', (1, 1): '-5', (1, 2): '1'}],
+                   [{(0, 0): '-8/3', (1, 2): '-7/2'}, {}, {},
+                    {(0, 1): '-3', (2, 1): '-6'}]],
+                  [[{}, {(1, 0): '2', (1, 1): '10/3', (2, 0): '7/2'},
+                    {(1, 0): '4'},
+                    {(0, 1): '-1', (0, 2): '-3/4', (2, 1): '5'}],
+                   [{(2, 0): '-2', (2, 1): '3', (2, 2): '-4/3'},
+                    {(2, 1): '-3/2'},
+                    {(0, 0): '-1/2', (0, 1): '2', (2, 2): '-21/4'}, {}],
+                   [{(1, 0): '3/2', (1, 2): '-4', (2, 2): '-9/2'}, {},
+                    {(2, 1): '2', (2, 2): '10/3'},
+                    {(1, 0): '-19/4', (2, 0): '-16/3', (2, 2): '-2/3'}]],
+                  [[{(1, 0): '-3', (1, 1): '-3', (1, 2): '13/3'}, {},
+                    {(0, 2): '4', (1, 0): '6', (1, 1): '-1/4'},
+                    {(0, 0): '-1/3'}],
+                   [{(0, 0): '-11/3', (0, 1): '-3'},
+                    {(1, 0): '2', (1, 2): '-6', (2, 2): '-2'},
+                    {(0, 0): '-2', (0, 2): '1', (1, 2): '-4'},
+                    {(0, 0): '-3', (2, 0): '11/2', (2, 2): '-2'}],
+                   [{(0, 2): '6'},
+                    {(0, 1): '-11/2', (1, 1): '-11/2', (2, 2): '-2'},
+                    {(0, 2): '-7/2', (2, 0): '-21/4', (2, 2): '2'},
+                    {(0, 1): '6', (1, 0): '7/3', (2, 1): '-1'}]]]
+
+_CHECK_KERNELS = """
+import sys
+from fractions import Fraction
+from envlld.centerpoly import CenterPoly
+from envlld.linalg import PolyMatrix, ff_rank_kernel
+for entries in %r:
+    M = PolyMatrix(2, 3, 4, [[CenterPoly(2, {e: Fraction(c) for e, c in d.items()})
+                              for d in row] for row in entries])
+    res = ff_rank_kernel(M)
+    if res.rank + len(res.kernel_basis) != M.cols:
+        sys.exit("rank and kernel dimension do not add up")
+    for v in res.kernel_basis:
+        for row in M.entries:
+            acc = CenterPoly.zero(2)
+            for a, b in zip(row, v):
+                acc = acc + a * b
+            if not acc.is_zero():
+                sys.exit("kernel vector does not annihilate M")
+"""
+
+
+def test_bivariate_kernels_in_bounded_time():
+    # one subprocess, under -O so that no assert is load-bearing, and with a
+    # timeout, so that a gcd that does not end fails instead of hanging
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", _CHECK_KERNELS % (_HANG_MATRICES,)],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert res.returncode == 0, res.stderr
 
 
 @settings(max_examples=25, deadline=None)
