@@ -152,10 +152,10 @@ def sl2_constrained_monos(d):
     return out
 
 
-def decompose(p, max_steps=10 ** 6):
+def decompose(p):
     if p.algebra.name == "sl2":
         return decompose_sl2(p)
-    return decompose_sl3(p, max_steps=max_steps)
+    return decompose_sl3(p)
 
 
 def decompose_sl2(p):

@@ -24,8 +24,8 @@ from .centerpoly import grlex_key
 from .dependence import (CertificateError, WitnessScanExceeded,
                          condition1_check, decide_c_dependence,
                          decide_center_dependence, empirical_lld,
-                         empirical_ref, loc_span_solve, sl3_weight_scan,
-                         witness_independence)
+                         empirical_ref, loc_span_solve, resolve_rep,
+                         sl3_weight_scan, witness_independence)
 from .parser import ParseError, _mono_str, format_expr, format_poly, parse_expr
 from .reps import sl2_irrep
 from .sl3reps import sl3_irrep
@@ -243,13 +243,12 @@ def _cmd_decide(args, A):
                       for e in sweep]
         return doc, lines, 0
 
-    # ref: sample vectors at one module or across a dimension sweep
-    if A.name == "sl3" or args.weights is not None:
-        items = [_pick_rep(args, A)]
-    elif args.rep is not None:
+    # ref: sample vectors at one module or across a dimension sweep, every
+    # module resolved before any is sampled
+    if A.name == "sl3" or args.weights is not None or args.rep is not None:
         items = [_pick_rep(args, A)]
     else:
-        items = list(range(lo, hi + 1))
+        items = [resolve_rep(n, A) for n in range(lo, hi + 1)]
     results, lines, found = [], [], False
     for item in items:
         rep = empirical_ref(q, ps, item, samples=args.samples, seed=args.seed)

@@ -29,9 +29,9 @@ from .center import decompose, sl2_constrained_monos, verify_identity
 from .centerpoly import CenterPoly, grlex_key, poly_eval
 from .linalg import (CertificateError, PolyMatrix, RatEchelon, ff_rank_kernel,
                      solve_fraction_field)
-from .reps import (RepMatrices, acts_as_zero, apply_to_vector, c_scalar,
-                   casimir_scalars, d2_scalar, d3_scalar, eval_element,
-                   prop32_vector, sl2_irrep)
+from .reps import (MAX_ENTRIES, RepMatrices, acts_as_zero, apply_to_vector,
+                   c_scalar, casimir_scalars, d2_scalar, d3_scalar,
+                   eval_element, prop32_vector, sl2_irrep)
 from .sl3reps import sl3_irrep
 
 
@@ -140,7 +140,11 @@ def loc_span_solve(q, ps):
     return Certificate(z, z0)
 
 
-def sl2_denominator_roots(z0, cap=1000):
+# largest dimension sl2_denominator_roots will test
+ROOT_BOUND_CAP = 1000
+
+
+def sl2_denominator_roots(z0):
     """Dimensions n with z0(c_n) = 0, found exactly via a root bound."""
     assert z0.arity == 1 and not z0.is_zero()
     if z0.is_const():
@@ -151,8 +155,9 @@ def sl2_denominator_roots(z0, cap=1000):
                     default=Fraction(0))
     # c_n = (n^2 - 1)/2 <= bound constrains n
     nmax = isqrt(int(2 * bound) + 1) + 1
-    if nmax > cap:
-        raise ValueError(f"denominator root bound {nmax} exceeds cap {cap}")
+    if nmax > ROOT_BOUND_CAP:
+        raise ValueError(
+            f"denominator root bound {nmax} exceeds cap {ROOT_BOUND_CAP}")
     return [n for n in range(1, nmax + 1) if poly_eval(z0, (c_scalar(n),)) == 0]
 
 
@@ -166,24 +171,24 @@ def condition1_check(cert, q):
                for n in sl2_denominator_roots(z0))
 
 
-def resolve_rep(item, A=None, max_entries=20000):
+def resolve_rep(item, A=None):
     """A representation from an int (sl2 dimension), a weight pair (sl3), a
     label string, or a ready RepMatrices instance."""
     if isinstance(item, RepMatrices):
         R = item
     elif isinstance(item, int):
-        if item * item > max_entries:
+        if item * item > MAX_ENTRIES:
             raise ValueError(f"dimension {item} exceeds the matrix entry cap")
         R = sl2_irrep(item)
     elif isinstance(item, (tuple, list)) and len(item) == 2:
-        R = sl3_irrep(tuple(item), max_entries)
+        R = sl3_irrep(tuple(item))
     elif isinstance(item, str):
         point = casimir_scalars(item)  # validates the label shape
         parts = item.split("_")
         if parts[0] == "rho":
-            R = resolve_rep(int(parts[1]), A, max_entries)
+            R = resolve_rep(int(parts[1]), A)
         else:
-            R = sl3_irrep((int(parts[1]), int(parts[2])), max_entries)
+            R = sl3_irrep((int(parts[1]), int(parts[2])))
         assert R.center_point == point
     else:
         raise ValueError(f"cannot resolve a representation from {item!r}")
@@ -201,12 +206,12 @@ def empirical_lld(ps, rep_range, q=None):
 
     Exact evaluation at each listed irreducible; center coefficients take the
     representation's Casimir values.  Returns one report dict per entry, in
-    the given order.
+    the given order.  Every module is resolved before any is evaluated, so
+    a range past the size cap fails at once.
     """
     A = _check_family(ps)
     out = []
-    for item in rep_range:
-        R = resolve_rep(item, A)
+    for R in [resolve_rep(item, A) for item in rep_range]:
         ech = RatEchelon(R.dim * R.dim)
         for p in ps:
             ech.add(_flat(eval_element(p, R)))

@@ -5,12 +5,13 @@ defining representation, the graded witness pair used for independence
 certificates, and the distinguished 0/1 vector whose monomial images realize
 full rank.
 
-Every module stores one sparse action per generator: for each source basis
-vector, the (destination, coefficient) pairs of its image, with coefficients
-kept as ints when they are integral.  Elements are evaluated through these
-actions alone.  The image of an ordered monomial is its first generator
-applied to the image of the rest, so monomials share their prefixes; each
-module caches its monomial images.  Dense tuples of Fractions appear only at
+Every module, the sl3 irreducibles and their polynomial model included,
+stores one sparse action per generator: for each source basis vector, the
+(destination, coefficient) pairs of its image, with coefficients kept as
+ints when they are integral.  Elements are evaluated through these actions
+alone.  The image of an ordered monomial is its first generator applied to
+the image of the rest, so monomials share their prefixes; each module
+caches its monomial images.  Dense tuples of Fractions appear only at
 the boundary (matrix, mono_matrix, eval_element).
 
 Center coefficients of a PBW element are evaluated at the representation's
@@ -28,6 +29,9 @@ from .algebra import PBWElement, sl2, sl3
 from .centerpoly import as_rat, poly_eval
 
 _ZERO = Fraction(0)
+
+# entry cap of one generator matrix for a module built on request
+MAX_ENTRIES = 20000
 
 
 def c_scalar(k):
@@ -119,15 +123,13 @@ class RepMatrices:
 
     action[g][src] holds the (dst, coeff) pairs of g applied to basis vector
     src.  center_point carries the Casimir scalars when the representation is
-    irreducible; basis_meta records construction data (the admitted index
-    triples for sl3 irreducibles).
+    irreducible.
     """
 
     __slots__ = ("algebra", "dim", "action", "label", "center_point",
-                 "basis_meta", "_images", "_model")
+                 "_images", "_model")
 
-    def __init__(self, algebra, dim, action, label, center_point=None,
-                 basis_meta=None):
+    def __init__(self, algebra, dim, action, label, center_point=None):
         assert set(action) == set(algebra.gens)
         fixed = {}
         for g, cols in action.items():
@@ -142,7 +144,6 @@ class RepMatrices:
         self.label = label
         self.center_point = None if center_point is None else tuple(
             as_rat(x) for x in center_point)
-        self.basis_meta = basis_meta
         self._images = {(0,) * algebra.ngens: tuple({s: 1} for s in range(dim))}
         self._model = None
 

@@ -144,6 +144,9 @@ def test_witness_text(capsys):
      "--rep selects an sl2 dimension; this is sl3, use --weights M1 M2"),
     (("decide", "loc", "--q", "H", "--range", "5", "X"),
      "range must look like 2..8, got '5'"),
+    (("decide", "loc", "--q", "X", "--range", "2..3", "--",
+      "(C - 5000000) X"),
+     "denominator root bound 3163 exceeds cap 1000"),
 ])
 def test_usage_errors(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
@@ -183,6 +186,16 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "decide", "loc", "--q", "H", "X")
     assert code == 3
     assert err.startswith("internal error: ")
+
+
+def test_ref_sweep_past_the_cap_samples_nothing(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("envlld.cli.empirical_ref",
+                        lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, "decide", "ref", "--q", "X",
+                         "--range", "2..400", "--", "Y", "X")
+    assert (code, out, calls) == (2, "", [])
+    assert "dimension 142 exceeds the matrix entry cap" in err
 
 
 def test_structured_document(capsys):

@@ -265,6 +265,15 @@ def test_empirical_rank_reports():
     assert [r["dependent"] for r in reports] == [False, False]
 
 
+def test_sweep_past_the_cap_evaluates_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr("envlld.dependence.eval_element",
+                        lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="dimension 142 exceeds"):
+        empirical_lld([sl2().pbw_gen("X")], range(2, 400))
+    assert calls == []
+
+
 def test_resolve_rep_routes():
     assert resolve_rep(3).label == "rho_3"
     assert resolve_rep("rho_3") is resolve_rep(3)
@@ -274,6 +283,10 @@ def test_resolve_rep_routes():
     assert resolve_rep(R) is R
     with pytest.raises(ValueError):
         resolve_rep(200)
+    # 141^2 entries fit under the cap, 142^2 do not
+    assert resolve_rep(141).dim == 141
+    with pytest.raises(ValueError, match="dimension 142 exceeds"):
+        resolve_rep(142)
     with pytest.raises(ValueError):
         resolve_rep((9, 9))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Highest-weight sl3 modules built from lowering words."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from envlld.algebra import sl3
 from envlld.center import casimir_elements
+from envlld.centerpoly import CenterPoly
 from envlld.linalg import CertificateError
 from envlld.reps import (d2_scalar, d3_scalar, eval_element, mat_identity,
                          mat_scale, mat_zero)
@@ -32,9 +35,16 @@ def test_dimensions_match_the_classical_count():
             assert R.dim == classical_dim(m1, m2), (m1, m2)
 
 
-@pytest.mark.parametrize("w", [(1, 1), (2, 1)])
-def test_defining_relations_hold(w):
+@pytest.mark.parametrize("w,model", [
+    pytest.param((1, 1), False, id="w0"),
+    pytest.param((2, 1), False, id="w1"),
+    pytest.param((1, 1), True, id="w0-model"),
+    pytest.param((2, 1), True, id="w1-model"),
+])
+def test_defining_relations_hold(w, model):
     R = sl3_irrep(w)
+    if model:
+        R = R._model.rep
     zero = mat_zero(R.dim)
     for a in R.algebra.gens:
         for b in R.algebra.gens:
@@ -86,6 +96,37 @@ def test_weight_bookkeeping():
     assert model.weight_of(model.lowering_vector((0, 0, 1))) == (0, 0)
 
 
+@pytest.mark.parametrize("w", [(1, 1), (2, 1)])
+def test_model_columns_match_the_irreducible(w):
+    # seeded elements with center coefficients: the model-space image of each
+    # admitted basis vector has the coordinates of that column of R(e)
+    B = sl3()
+    R = sl3_irrep(w)
+    model = R._model
+    rng = random.Random(11)
+    for _ in range(6):
+        e = B.pbw_zero()
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * 8
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(8)] += 1
+            z = (rng.randint(0, 1), rng.randint(0, 1))
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            e = e + B.pbw_mono(exps, CenterPoly(2, {z: c}))
+        mat = eval_element(e, R)
+        cols = model.eval_columns(e, R.center_point)
+        assert len(cols) == R.dim
+        for b, col in enumerate(cols):
+            # coords_of takes one weight at a time
+            by_weight = {}
+            for i, x in col.items():
+                by_weight.setdefault(model.weight_of({i: x}), {})[i] = x
+            coords = model.coords_of({})
+            for part in by_weight.values():
+                coords = [s + t for s, t in zip(coords, model.coords_of(part))]
+            assert coords == [row[b] for row in mat]
+
+
 def test_size_cap_and_caching():
     with pytest.raises(ValueError):
         sl3_irrep((9, 9))
@@ -97,12 +138,12 @@ def test_coordinates_in_the_admitted_basis():
     D = len(model.admitted)
     for b, v in enumerate(model.basis):
         assert model.coords_of(v) == [int(t == b) for t in range(D)]
-    assert model.coords_of([0] * model.N) == [0] * D
+    assert model.coords_of({}) == [0] * D
     # Sym^2 (x) Sym^1 is 18-dimensional and the module 15: some model unit
     # vector has a weight of the module but lies outside it
     outside = 0
     for r in range(model.N):
-        u = [int(i == r) for i in range(model.N)]
+        u = {r: 1}
         try:
             model.coords_of(u)
         except CertificateError:
@@ -118,7 +159,7 @@ model = sl3reps.Sl3Model(1, 1)
 model.close()
 v = model.basis[0]
 # the echelon still holds v, so v gets coordinate 1 where 1/2 is right
-model.basis[0] = [2 * x for x in v]
+model.basis[0] = {i: 2 * x for i, x in v.items()}
 try:
     model.coords_of(v)
 except sl3reps.CertificateError:
@@ -128,7 +169,7 @@ else:
 close = sl3reps.Sl3Model.close
 def doubled_close(self):
     D = close(self)
-    self.basis[0] = [2 * x for x in self.basis[0]]
+    self.basis[0] = {i: 2 * x for i, x in self.basis[0].items()}
     return D
 sl3reps.Sl3Model.close = doubled_close
 sys.exit(main(["rep", "--algebra", "sl3", "--weights", "1", "1"]))
