@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import pbw_normal_form, sl2, sl3
+from .algebra import sl2, sl3
 from .center import (casimir_elements, decompose, sl2_constrained_monos,
                      verify_identity)
 from .centerpoly import CenterPoly, poly_eval

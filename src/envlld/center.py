@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import PBWElement, get_algebra, pbw_mul, pbw_normal_form, sl2, sl3
+from .algebra import PBWElement, get_algebra, pbw_mul, pbw_normal_form, sl3
 from .centerpoly import CenterPoly, grlex_key
 
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .algebra import get_algebra, pbw_normal_form
 from .center import RewritingBudgetError, decompose

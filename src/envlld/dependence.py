@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 import random
 
-from .algebra import PBWElement, get_algebra, sl2, sl3
+from .algebra import PBWElement
 from .center import decompose, sl2_constrained_monos, verify_identity
 from .centerpoly import CenterPoly, grlex_key, poly_eval
 from .linalg import (CertificateError, PolyMatrix, RatEchelon, ff_rank_kernel,

@@ -3,13 +3,27 @@
 Matrices of center polynomials go through one-step Bareiss elimination, which
 keeps every intermediate entry polynomial: the update
 (piv*a_ij - c_i*a_kj) / prev_pivot divides exactly at each step, and divexact
-raises ValueError if it does not.  A single pass yields the rank and the pivot
-columns (tracked through a virtual column permutation, no data is moved).
-Pivots are chosen by lowest total degree with deterministic ties, so results
-are reproducible across runs.  Each kernel vector puts the last pivot at its
-free column and 0 at the other free columns; by Cramer's rule its entries are
-then r x r minors of M, so back-substitution divides exactly by each pivot.
-The vector is then content-normalized.
+raises ValueError if it does not.  Pivots are chosen by lowest total degree
+with deterministic ties (pivot columns are tracked through a virtual column
+permutation, no data is moved), so results are reproducible across runs.
+Each kernel vector puts the last pivot at its free column and 0 at the other
+free columns; by Cramer's rule its entries are then r x r minors of M, so
+back-substitution divides exactly by each pivot.  The vector is then
+content-normalized.
+
+ff_rank_kernel decides at a fixed probe point first (PROBE_POINT: C = 7/3,
+or (Z2, Z3) = (7/3, -5/2)).  The rows of M, evaluated there, go into a
+RatEchelon, and the rows that raise its rank are kept.
+  * Point rank = number of columns: a maximal minor of M is nonzero at the
+    point, so it is a nonzero polynomial and M has full column rank.  The
+    kernel is empty and no Bareiss runs.
+  * Point rank = columns - 1: Bareiss runs on the kept rows only.  Their
+    kernel is one line, and it is ker(M) exactly when its vector annihilates
+    every other row of M, which is checked exactly.  content_normalize makes
+    a line canonical, so the vector is the one Bareiss on all of M gives.
+  * A lower point rank, or a failed check (the point was unlucky): Bareiss
+    runs on all of M.  The probe never stands in for a kernel of dimension
+    two or more, whose first vector depends on the pivot columns chosen.
 
 Everything over Q goes through one routine, RatEchelon: an incremental
 reduced row echelon form that answers rank, span membership and null space.
@@ -22,7 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .centerpoly import CenterPoly, as_rat, content_normalize, divexact
+from .centerpoly import (CenterPoly, as_rat, content_normalize, divexact,
+                         poly_eval)
+
+# where ff_rank_kernel decides first, by center arity; any point would be
+# sound, since the fallback is exact
+PROBE_POINT = {1: (Fraction(7, 3),), 2: (Fraction(7, 3), Fraction(-5, 2))}
 
 
 class PolyMatrix:
@@ -51,7 +70,6 @@ class PolyMatrix:
 class EliminationResult:
     rank: int
     kernel_basis: tuple
-    pivot_cols: tuple
 
 
 def _pivot_key(entry, i, j):
@@ -59,15 +77,43 @@ def _pivot_key(entry, i, j):
     return (entry.degree(), entry.sort_key(), i, j)
 
 
+def _dot(row, v):
+    acc = CenterPoly.zero(row[0].arity)
+    for a, b in zip(row, v):
+        if not a.is_zero() and not b.is_zero():
+            acc = acc + a * b
+    return acc
+
+
 def ff_rank_kernel(M):
     """Rank and right-kernel basis of M by fraction-free elimination.
 
     Kernel vectors are content-normalized, one per non-pivot column, and each
-    satisfies M v = 0 exactly.
+    satisfies M v = 0 exactly.  A probe point settles full column rank, and
+    picks the rows of a corank-one minor (see the module docstring).
     """
-    arity = M.arity
-    nrows, ncols = M.rows, M.cols
-    rows = [list(r) for r in M.entries]
+    ncols = M.cols
+    point = PROBE_POINT[M.arity]
+    ech = RatEchelon(ncols)
+    kept, rest = [], []
+    for row in M.entries:
+        if ech.rank < ncols and ech.add([poly_eval(e, point) for e in row]):
+            kept.append(row)
+        else:
+            rest.append(row)
+    if ech.rank == ncols:
+        return EliminationResult(ncols, ())
+    if ech.rank == ncols - 1:
+        res = _bareiss(M.arity, kept, ncols)
+        if all(_dot(row, res.kernel_basis[0]).is_zero() for row in rest):
+            return res
+    return _bareiss(M.arity, M.entries, ncols)
+
+
+def _bareiss(arity, entries, ncols):
+    """Rank and content-normalized kernel basis of the given rows."""
+    rows = [list(r) for r in entries]
+    nrows = len(rows)
     pivot_cols = []
     prev = CenterPoly.const(arity, 1)
     r = 0
@@ -106,14 +152,10 @@ def ff_rank_kernel(M):
         v = [zero] * ncols
         v[f] = prev
         for t in range(rank - 1, -1, -1):
-            row = rows[t]
-            acc = zero
-            for a, b in zip(row, v):
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
-            v[pivot_cols[t]] = divexact(-acc, row[pivot_cols[t]])
+            p = pivot_cols[t]
+            v[p] = divexact(-_dot(rows[t], v), rows[t][p])
         basis.append(content_normalize(v))
-    return EliminationResult(rank, tuple(basis), tuple(pivot_cols))
+    return EliminationResult(rank, tuple(basis))
 
 
 def solve_fraction_field(M, b):

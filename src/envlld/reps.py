@@ -12,7 +12,7 @@ ints when they are integral.  Elements are evaluated through these actions
 alone.  The image of an ordered monomial is its first generator applied to
 the image of the rest, so monomials share their prefixes; each module
 caches its monomial images.  Dense tuples of Fractions appear only at
-the boundary (matrix, mono_matrix, eval_element).
+the boundary (matrix, mono_matrix, bracket_defect, eval_element).
 
 Center coefficients of a PBW element are evaluated at the representation's
 center point (its Casimir scalars); asking for a center value on a
@@ -173,13 +173,19 @@ class RepMatrices:
     def bracket_defect(self, a, b):
         """pi[a]pi[b] - pi[b]pi[a] minus the bracket expansion; zero matrix
         exactly when the defining relations hold in this representation."""
-        A = self.algebra
-        ia, ib = A.index[a], A.index[b]
-        ma, mb = self.matrix(a), self.matrix(b)
-        comm = mat_add(mat_mul(ma, mb), mat_scale(mat_mul(mb, ma), -1))
-        for k, c in A.bracket_table.get((ia, ib), ()):
-            comm = mat_add(comm, mat_scale(self.matrix(A.gens[k]), -c))
-        return comm
+        A, act = self.algebra, self.action
+        terms = A.bracket_table.get((A.index[a], A.index[b]), ())
+        columns = []
+        for src in range(self.dim):
+            e = {src: 1}
+            col = _apply(act[a], _apply(act[b], e))
+            for dst, x in _apply(act[b], _apply(act[a], e)).items():
+                col[dst] = col.get(dst, 0) - x
+            for k, c in terms:
+                for dst, x in _apply(act[A.gens[k]], e).items():
+                    col[dst] = col.get(dst, 0) - c * x
+            columns.append(col.items())
+        return _dense(self.dim, columns)
 
     def __repr__(self):
         return f"RepMatrices({self.label}, dim={self.dim})"

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlld.algebra import (PBWElement, bracket, get_algebra, pbw_mul,
-                            pbw_normal_form, sl2, sl3)
+from envlld.algebra import (bracket, get_algebra, pbw_mul, pbw_normal_form,
+                            sl2, sl3)
 from envlld.centerpoly import CenterPoly
 from envlld.parser import format_expr
 from envlld.reps import eval_element, mat_mul, sl2_irrep

@@ -84,6 +84,20 @@ def test_decide_center_sl3_kernel_in_bounded_time():
     assert res.stdout.splitlines()[0] == "dependent"
 
 
+@pytest.mark.parametrize("argv,code,lines", [
+    # a kernel of dimension two: the first certificate of all rows
+    (["--", "3 X - 6 C Y", "-C X + 2 C^2 Y", "-2 X + 4 C Y"], 0,
+     ["dependent", "certificate: (1, 0, 3/2)"]),
+    # coefficients that vanish at the probe point
+    (["--", "(3 C - 7) X", "Y"], 1, ["independent"]),
+    (["--algebra", "sl3", "--", "(2 Z3 + 5) X1", "Y1"], 1, ["independent"]),
+], ids=["corank-two", "unlucky-C", "unlucky-Z3"])
+def test_decide_center_verdicts_around_the_probe(capsys, argv, code, lines):
+    got, out, err = run(capsys, "decide", "center", *argv)
+    assert (got, err) == (code, "")
+    assert out.splitlines() == lines
+
+
 def test_decide_loc_text(capsys):
     code, out, _ = run(capsys, "decide", "loc", "--q", "H",
                        "--range", "2..4", "CX^2 + 3/2H", "3/2X^2 + CH")

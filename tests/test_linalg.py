@@ -7,11 +7,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from envlld import linalg
 from envlld.centerpoly import CenterPoly, poly_eval
-from envlld.linalg import (PolyMatrix, RatEchelon, ff_rank_kernel,
+from envlld.linalg import (PROBE_POINT, PolyMatrix, RatEchelon, ff_rank_kernel,
                            solve_fraction_field)
 
 C = CenterPoly.variable(1)
@@ -73,6 +75,75 @@ def test_kernel_vectors_annihilate(M):
             for j in range(M.cols):
                 acc = acc + M.entries[i][j] * v[j]
             assert acc.is_zero()
+
+
+# --- the probe point ---
+
+Z2, Z3 = CenterPoly.variable(2, 0), CenterPoly.variable(2, 1)
+
+
+def test_probe_point_zeros_below_are_unlucky():
+    assert poly_eval(C * 3 - const(7), PROBE_POINT[1]) == 0
+    assert poly_eval(Z3 * 2 + CenterPoly.const(2, 5), PROBE_POINT[2]) == 0
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(linalg, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("entries,arity", [
+    ([[C * 3 - const(7), ZERO], [ZERO, ONE]], 1),
+    ([[Z3 * 2 + CenterPoly.const(2, 5), CenterPoly.zero(2)],
+      [CenterPoly.zero(2), CenterPoly.const(2, 1)]], 2),
+], ids=["C", "Z2Z3"])
+def test_unlucky_point_falls_back_to_all_rows(monkeypatch, entries, arity):
+    # rank 1 at the point: the minor's kernel (1, 0) misses the first row,
+    # so Bareiss runs again on all of M
+    calls = _counting(monkeypatch, "_bareiss")
+    res = ff_rank_kernel(PolyMatrix(arity, 2, 2, entries))
+    assert (res.rank, res.kernel_basis) == (2, ())
+    assert [len(c[1]) for c in calls] == [1, 2]
+
+
+def test_full_rank_at_the_point_runs_no_elimination(monkeypatch):
+    calls = _counting(monkeypatch, "divexact")
+    M = mat([[C, ONE], [ONE, C], [C * C, ZERO]])
+    assert ff_rank_kernel(M) == linalg.EliminationResult(2, ())
+    assert calls == []
+
+
+def test_corank_one_runs_on_a_minor(monkeypatch):
+    calls = _counting(monkeypatch, "_bareiss")
+    # the third column is C times the first, minus the second
+    M = mat([[ONE, C, ZERO], [C, ONE, C * C - ONE], [C * C, ZERO, C * C * C],
+             [ZERO, ONE, -ONE]])
+    res = ff_rank_kernel(M)
+    assert (res.rank, res.kernel_basis) == (2, ((C, -ONE, -ONE),))
+    assert [len(c[1]) for c in calls] == [2]
+
+
+def test_corank_two_kernel_is_frozen():
+    # a minor could pick other pivot columns, so a kernel of dimension two
+    # comes from all rows
+    M = mat([[C * -6, C * C * 2, C * 4], [const(3), -C, const(-2)]])
+    res = ff_rank_kernel(M)
+    assert res.rank == 1
+    assert res.kernel_basis == ((ONE, ZERO, const(Fraction(3, 2))),
+                                (ZERO, ONE, C * Fraction(-1, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(poly_matrices(1), poly_matrices(2)))
+def test_probe_agrees_with_bareiss_on_all_rows(M):
+    assert ff_rank_kernel(M) == linalg._bareiss(M.arity, M.entries, M.cols)
 
 
 # 3x4 matrices over Q[Z2, Z3] that test_kernel_vectors_annihilate draws under
